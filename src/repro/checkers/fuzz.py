@@ -22,9 +22,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.checkers.cal import CALChecker
 from repro.checkers.caspec import CASpec
-from repro.checkers.linearizability import LinearizabilityChecker
+from repro.checkers.memo import MemoCALChecker, MemoLinearizabilityChecker
 from repro.checkers.seqspec import SequentialSpec
 from repro.checkers.verify import ViewFn, _validate_singleton_witness
 from repro.core.history import History
@@ -464,7 +463,7 @@ def fuzz_cal(
     it.  The campaign's own snapshot lands in ``report.provenance`` and
     merges into the caller's ledger, mirroring ``metrics``.
     """
-    checker = CALChecker(spec)
+    checker = MemoCALChecker(spec)
     report = FuzzReport()
     campaign = _campaign_registry(metrics)
     audit = _campaign_ledger(provenance)
@@ -643,7 +642,7 @@ def fuzz_linearizability(
     ``progress_every``, ``dedup``, ``guidance``, ``corpus`` and
     ``provenance`` behave as in :func:`fuzz_cal`.
     """
-    checker = LinearizabilityChecker(spec)
+    checker = MemoLinearizabilityChecker(spec)
     report = FuzzReport()
     campaign = _campaign_registry(metrics)
     audit = _campaign_ledger(provenance)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import time
 from typing import Dict, Hashable, List, Optional, Set, Tuple
 
+from repro.checkers.cal import complete_from_witness
 from repro.checkers.result import CheckResult, SearchBudget, Verdict
 from repro.checkers.seqspec import SequentialSpec
 from repro.checkers._search import (
@@ -25,6 +26,7 @@ from repro.checkers._search import (
     structural_key,
 )
 from repro.core.actions import Operation
+from repro.core.agreement import agrees
 from repro.core.catrace import CAElement, CATrace
 from repro.core.history import History
 from repro.substrate.errors import BudgetExceeded
@@ -254,6 +256,30 @@ class LinearizabilityChecker:
                 )
 
     # ------------------------------------------------------------------
+    def _witness_problem(
+        self, history: History, witness: CATrace
+    ) -> Optional[str]:
+        """Why a recorded singleton trace is not a linearization witness
+        of ``history`` (None when it is).
+
+        Pending invocations (crashed threads) are resolved against the
+        witness first, exactly as in CAL witness validation.
+        """
+        if any(not e.is_singleton() for e in witness):
+            return "witness contains non-singleton elements"
+        ops = [e.single() for e in witness]
+        if not self.spec.accepts(ops):
+            return "witness rejected by sequential spec"
+        target = history.project_object(self.spec.oid)
+        if not target.is_complete():
+            target = complete_from_witness(target, witness)
+        if not target.is_complete():  # pragma: no cover — defensive
+            return "history incomplete at witness validation"
+        if not agrees(target, witness):
+            return "history does not agree with witness (Def. 5)"
+        return None
+
+    # ------------------------------------------------------------------
     def check_order(self, history: History, order: List[Operation]) -> bool:
         """Validate an explicitly proposed linearization order: it must be
         a permutation of the history's operations, extend the real-time
@@ -262,6 +288,4 @@ class LinearizabilityChecker:
         if not target.is_complete():
             return False
         witness = CATrace(CAElement(op.oid, [op]) for op in order)
-        from repro.core.agreement import agrees  # local import, no cycle
-
         return self.spec.accepts(order) and agrees(target, witness)

@@ -20,9 +20,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from repro.checkers.cal import CALChecker, complete_from_witness
 from repro.checkers.caspec import CASpec
 from repro.checkers.linearizability import LinearizabilityChecker
+from repro.checkers.memo import MemoCALChecker, MemoLinearizabilityChecker
 from repro.checkers.result import Verdict
 from repro.checkers.seqspec import SequentialSpec
 from repro.core.catrace import CATrace
@@ -226,7 +226,7 @@ def verify_cal(
     from repro.checkers.fuzz import _campaign_ledger
 
     validate_exploration(reduction, preemption_bound=preemption_bound)
-    checker = CALChecker(spec)
+    checker = MemoCALChecker(spec)
     report = VerificationReport(budget=budget)
     campaign = type(metrics)() if metrics is not None else None
     audit = _campaign_ledger(provenance)
@@ -373,7 +373,7 @@ def verify_linearizability(
     from repro.checkers.fuzz import _campaign_ledger
 
     validate_exploration(reduction, preemption_bound=preemption_bound)
-    checker = LinearizabilityChecker(spec)
+    checker = MemoLinearizabilityChecker(spec)
     report = VerificationReport(budget=budget)
     campaign = type(metrics)() if metrics is not None else None
     audit = _campaign_ledger(provenance)
@@ -482,20 +482,8 @@ def _validate_singleton_witness(
     """Check a recorded singleton trace is a valid linearization witness.
 
     Pending invocations (crashed threads) are resolved against the
-    witness first, exactly as in CAL witness validation.
+    witness first, exactly as in CAL witness validation.  Returns the
+    problem, or None; a driver's decision memo
+    (:mod:`repro.checkers.memo`) answers a repeated pair from its cache.
     """
-    from repro.core.agreement import agrees
-
-    if any(not e.is_singleton() for e in witness):
-        return "witness contains non-singleton elements"
-    ops = [e.single() for e in witness]
-    if not checker.spec.accepts(ops):
-        return "witness rejected by sequential spec"
-    target = history.project_object(checker.spec.oid)
-    if not target.is_complete():
-        target = complete_from_witness(target, witness)
-    if not target.is_complete():  # pragma: no cover — defensive
-        return "history incomplete at witness validation"
-    if not agrees(target, witness):
-        return "history does not agree with witness (Def. 5)"
-    return None
+    return checker._witness_problem(history, witness)

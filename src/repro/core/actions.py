@@ -11,7 +11,7 @@ and compound results (e.g. the exchanger's ``(bool, int)``) are uniform.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Tuple, Union
+from typing import Any, Hashable, Tuple, Union
 
 
 def _as_tuple(value: Any) -> Tuple[Any, ...]:
@@ -19,6 +19,50 @@ def _as_tuple(value: Any) -> Tuple[Any, ...]:
     if isinstance(value, tuple):
         return value
     return (value,)
+
+
+#: Types whose instances compare equal only to instances of the same
+#: type with the same content, so a value of one of them is its own key.
+_EXACT_TYPES = frozenset({str, int, bytes, type(None)})
+
+
+def typed_key(value: Any) -> Hashable:
+    """A content key equal only for values of identical type and content.
+
+    ``1 == True == 1.0`` (and they hash alike), so a plain tuple of
+    values would conflate histories a spec can tell apart, and whose
+    fingerprints differ.  Builtin containers are walked; floats are keyed
+    by their exact bits (``-0.0`` is not ``0.0``); any other value is
+    paired with its type.  The key is built eagerly but hashed only by
+    the caller: an unhashable leaf (a list) raises ``TypeError`` there.
+    """
+    kind = type(value)
+    if kind in _EXACT_TYPES:
+        return value
+    if kind is tuple:
+        # Inline the exact-type leaves: this runs for every action of
+        # every checked run.
+        return (
+            tuple,
+            *[
+                item if type(item) in _EXACT_TYPES else typed_key(item)
+                for item in value
+            ],
+        )
+    if kind is float:
+        return (float, value.hex())
+    if kind is frozenset:
+        return (frozenset, frozenset(typed_key(item) for item in value))
+    if kind is Invocation or kind is Response or kind is Operation:
+        if kind is Operation:
+            payload = (value.args, value.value)
+        else:
+            payload = value.args if kind is Invocation else value.value
+        names = (value.tid, value.oid, value.method)
+        if type(names[0]) is str and type(names[1]) is str and type(names[2]) is str:
+            return (kind, *names, typed_key(payload))
+        return (kind, typed_key(names), typed_key(payload))
+    return (kind, value)
 
 
 @dataclass(frozen=True, order=True)

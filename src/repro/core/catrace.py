@@ -22,7 +22,7 @@ from typing import (
     Tuple,
 )
 
-from repro.core.actions import Operation
+from repro.core.actions import Operation, typed_key
 from repro.core.history import History
 
 
@@ -82,10 +82,15 @@ class CAElement:
 class CATrace:
     """A finite sequence of CA-elements (Def. 4)."""
 
-    __slots__ = ("_elements",)
+    __slots__ = ("_elements", "_key")
 
     def __init__(self, elements: Iterable[CAElement] = ()) -> None:
         self._elements: Tuple[CAElement, ...] = tuple(elements)
+        self._key: Optional[Tuple] = None
+
+    def __reduce__(self):
+        # Pickle the elements only; the content key re-derives lazily.
+        return (CATrace, (self._elements,))
 
     # ------------------------------------------------------------------
     # Sequence protocol
@@ -113,6 +118,20 @@ class CATrace:
     @property
     def elements(self) -> Tuple[CAElement, ...]:
         return self._elements
+
+    def content_key(self) -> Tuple:
+        """A type-exact content key of the trace (cached), like
+        :meth:`History.content_key`: per element, its object and the set
+        of its operations' :func:`~repro.core.actions.typed_key`."""
+        # getattr: a trace unpickled from an older layout lacks the slot.
+        if getattr(self, "_key", None) is None:
+            self._key = tuple(
+                [
+                    (typed_key(e.oid), frozenset(map(typed_key, e.operations)))
+                    for e in self._elements
+                ]
+            )
+        return self._key
 
     def append(self, *elements: CAElement) -> "CATrace":
         return CATrace(self._elements + elements)

@@ -24,7 +24,7 @@ from typing import (
     Tuple,
 )
 
-from repro.core.actions import Action, Invocation, Operation, Response
+from repro.core.actions import Action, Invocation, Operation, Response, typed_key
 
 
 @dataclass(frozen=True)
@@ -48,23 +48,25 @@ class OperationSpan:
 class History:
     """An immutable sequence of object actions (Def. 2).
 
-    Immutability is enforced, not just advertised: ``spans()`` and
-    ``is_well_formed()`` memoize their answers, so a post-construction
-    reassignment of ``_actions`` would silently serve stale caches.
-    ``__setattr__`` rejects it; every "mutation" returns a new History
-    (``append``, ``complete_with``, the projections).
+    Immutability is enforced, not just advertised: ``spans()``,
+    ``is_well_formed()`` and ``content_key()`` memoize their answers, so
+    a post-construction reassignment of ``_actions`` would silently serve
+    stale caches.  ``__setattr__`` rejects it; every "mutation" returns a
+    new History (``append``, ``complete_with``, and the projections when
+    they filter anything out).
     """
 
-    __slots__ = ("_actions", "_spans", "_well_formed")
+    __slots__ = ("_actions", "_spans", "_well_formed", "_key")
 
     def __init__(self, actions: Iterable[Action] = ()) -> None:
         object.__setattr__(self, "_actions", tuple(actions))
         object.__setattr__(self, "_spans", None)
         object.__setattr__(self, "_well_formed", None)
+        object.__setattr__(self, "_key", None)
 
     def __setattr__(self, name: str, value: Any) -> None:
-        # The lazy caches (_spans/_well_formed) may be filled in; the
-        # action sequence itself is frozen once __init__ has set it.
+        # The lazy caches (_spans/_well_formed/_key) may be filled in;
+        # the action sequence itself is frozen once __init__ has set it.
         if name == "_actions":
             raise AttributeError(
                 "History is immutable: build a new History instead of "
@@ -110,6 +112,19 @@ class History:
     def actions(self) -> Tuple[Action, ...]:
         return self._actions
 
+    def content_key(self) -> Tuple[Any, ...]:
+        """A type-exact content key of the action sequence (cached).
+
+        Two histories share a key iff their actions are equal *and* every
+        argument and result has the same type — ``1``, ``True`` and
+        ``1.0`` give three keys (see :func:`~repro.core.actions.typed_key`).
+        Hashing the key raises ``TypeError`` when an argument or result is
+        unhashable.
+        """
+        if self._key is None:
+            self._key = tuple([typed_key(action) for action in self._actions])
+        return self._key
+
     def append(self, *actions: Action) -> "History":
         """Return a new history with ``actions`` appended."""
         return History(self._actions + actions)
@@ -118,12 +133,21 @@ class History:
     # Projections
     # ------------------------------------------------------------------
     def project_thread(self, tid: str) -> "History":
-        """``H|t`` — the subsequence of actions of thread ``tid``."""
-        return History(a for a in self._actions if a.tid == tid)
+        """``H|t`` — the subsequence of actions of thread ``tid``.
+
+        ``self`` when every action is ``tid``'s: histories are immutable,
+        so the projection shares this history's caches."""
+        kept = tuple([a for a in self._actions if a.tid == tid])
+        return self if len(kept) == len(self._actions) else History(kept)
 
     def project_object(self, oid: str) -> "History":
-        """``H|o`` — the subsequence of actions on object ``oid``."""
-        return History(a for a in self._actions if a.oid == oid)
+        """``H|o`` — the subsequence of actions on object ``oid``.
+
+        ``self`` when every action is on ``oid`` (the common single-object
+        run), so coverage, witness validation and search share one set of
+        cached spans, well-formedness and content key."""
+        kept = tuple([a for a in self._actions if a.oid == oid])
+        return self if len(kept) == len(self._actions) else History(kept)
 
     def threads(self) -> List[str]:
         """Thread identifiers in order of first appearance."""
@@ -145,35 +169,21 @@ class History:
     def is_sequential(self) -> bool:
         """Alternating invocations and matching responses, starting with
         an invocation (possibly ending with a pending invocation)."""
-        expect_invocation = True
-        last: Optional[Invocation] = None
-        for action in self._actions:
-            if expect_invocation:
-                if not action.is_invocation:
-                    return False
-                last = action  # type: ignore[assignment]
-            else:
-                if not action.is_response:
-                    return False
-                assert last is not None
-                if (action.tid, action.oid, action.method) != (
-                    last.tid,
-                    last.oid,
-                    last.method,
-                ):
-                    return False
-            expect_invocation = not expect_invocation
-        return True
+        return _is_sequential(self._actions)
 
     def is_well_formed(self) -> bool:
         """``H|t`` is sequential for every thread ``t``.
 
         Cached: histories are immutable and every checker entry point
-        re-validates, so the O(threads × actions) scan runs once.
+        re-validates, so the one pass over the actions runs once.  The
+        per-thread subsequences are plain lists, not projected histories.
         """
         if self._well_formed is None:
+            per_thread: Dict[str, List[Action]] = {}
+            for action in self._actions:
+                per_thread.setdefault(action.tid, []).append(action)
             self._well_formed = all(
-                self.project_thread(t).is_sequential() for t in self.threads()
+                _is_sequential(actions) for actions in per_thread.values()
             )
         return self._well_formed
 
@@ -365,6 +375,29 @@ class History:
                 kept.append(action)
             appended = [c for c in combo if c is not None]
             yield History(tuple(kept) + tuple(appended))
+
+
+def _is_sequential(actions: Iterable[Action]) -> bool:
+    """See :meth:`History.is_sequential`."""
+    expect_invocation = True
+    last: Optional[Invocation] = None
+    for action in actions:
+        if expect_invocation:
+            if not action.is_invocation:
+                return False
+            last = action  # type: ignore[assignment]
+        else:
+            if not action.is_response:
+                return False
+            assert last is not None
+            if (action.tid, action.oid, action.method) != (
+                last.tid,
+                last.oid,
+                last.method,
+            ):
+                return False
+        expect_invocation = not expect_invocation
+    return True
 
 
 def real_time_order(history: History) -> Set[Tuple[int, int]]:

@@ -43,6 +43,11 @@ DEFAULT_PREFIX_DEPTH = 8
 #: Default saturation-curve bucket width, in campaign positions (seeds).
 DEFAULT_BUCKET = 1000
 
+#: Bound on each per-tracker digest memo (see :class:`CoverageTracker`).
+#: Cleared wholesale when full; a miss recomputes the same digests, so
+#: eviction is invisible.
+_DIGEST_MEMO_CAP = 4096
+
 
 def _digest(text: str) -> str:
     """A short, process-independent content fingerprint."""
@@ -76,6 +81,20 @@ def _element_signature(element: Any) -> str:
     return "{" + ",".join(ops) + "}"
 
 
+def _history_digests(history: Any) -> Tuple[str, Optional[str]]:
+    """(action-sequence digest, structural-shape digest or None when the
+    history is ill-formed) — the two history facets of a run."""
+    # Lazy import: repro.checkers.__init__ pulls in the drivers, which
+    # import repro.obs — resolve the cycle at call time.
+    from repro.checkers._search import structural_key
+
+    fingerprint = _digest(canonical_repr(tuple(history.actions)))
+    shape = None
+    if history.is_well_formed():
+        shape = _digest(canonical_repr(structural_key(history.spans())))
+    return fingerprint, shape
+
+
 class CoverageTracker:
     """Accumulates schedule/history/spec coverage over a campaign.
 
@@ -84,6 +103,13 @@ class CoverageTracker:
     first seed, so merged samples land exactly where the sequential
     tracker would have put them.  Like :class:`~repro.obs.metrics.Metrics`,
     nothing locks: one tracker per worker, merged on join.
+
+    Fingerprinting is memoized per tracker: a history's
+    :meth:`~repro.core.history.History.content_key` maps to its (history,
+    shape) digests, and a witness already walked through the same spec is
+    not walked again.  Digests are pure functions of that content, so the
+    memos change no fingerprint; they stay out of :meth:`snapshot` and
+    :meth:`merge`.
     """
 
     __slots__ = (
@@ -95,6 +121,8 @@ class CoverageTracker:
         "spec_transitions",
         "samples",
         "observed",
+        "_digests",
+        "_walked",
     )
 
     def __init__(
@@ -108,6 +136,8 @@ class CoverageTracker:
         self.spec_transitions: set = set()  # digest of (state, elem, succ)
         self.samples: Dict[int, str] = {}  # global position -> history digest
         self.observed = 0
+        self._digests: Dict[Any, Tuple[str, Optional[str]]] = {}
+        self._walked: set = set()  # (spec, witness content key) pairs
 
     # -- observing -----------------------------------------------------
     def observe_run(
@@ -125,22 +155,29 @@ class CoverageTracker:
         ``oid`` it is projected to that object first (matching what the
         checkers look at).
         """
-        # Lazy import: repro.checkers.__init__ pulls in the drivers,
-        # which import repro.obs — resolve the cycle at call time.
-        from repro.checkers._search import structural_key
-
         self.observed += 1
-        for depth in range(1, min(len(schedule), self.prefix_depth) + 1):
-            prefix = ",".join(str(d) for d in schedule[:depth])
+        decisions = [str(d) for d in schedule[: self.prefix_depth]]
+        for depth in range(1, len(decisions) + 1):
+            prefix = ",".join(decisions[:depth])
             self.schedule_prefixes.add(f"{depth}:{prefix}")
         target = history.project_object(oid) if oid is not None else history
-        fingerprint = _digest(canonical_repr(tuple(target.actions)))
+        try:
+            key = target.content_key()
+            digests = self._digests.get(key)
+        except TypeError:  # an unhashable argument or result
+            key = digests = None
+        if digests is None:
+            digests = _history_digests(target)
+            if key is not None:
+                if len(self._digests) >= _DIGEST_MEMO_CAP:
+                    self._digests.clear()
+                if len(self._digests) < _DIGEST_MEMO_CAP:
+                    self._digests[key] = digests
+        fingerprint, shape = digests
         new = fingerprint not in self.histories
         self.histories.add(fingerprint)
-        if target.is_well_formed():
-            self.history_shapes.add(
-                _digest(canonical_repr(structural_key(target.spans())))
-            )
+        if shape is not None:
+            self.history_shapes.add(shape)
         self.samples[self.offset + position] = fingerprint
         return new
 
@@ -150,8 +187,23 @@ class CoverageTracker:
         ``spec`` may be a CA-spec (``step(state, element)``) or a
         sequential spec (``apply(state, op)``, singleton elements).  A
         rejected element records a terminal ``REJECT`` transition and
-        stops — the walk is a pure function of (spec, trace).
+        stops — the walk is a pure function of (spec, trace), so a trace
+        this tracker already walked through ``spec`` is skipped.
         """
+        try:
+            key = (spec, trace.content_key())
+            if key in self._walked:
+                return
+        except (AttributeError, TypeError):  # not a CATrace, or unhashable
+            key = None
+        self._walk_spec_trace(spec, trace)
+        if key is not None:
+            if len(self._walked) >= _DIGEST_MEMO_CAP:
+                self._walked.clear()
+            if len(self._walked) < _DIGEST_MEMO_CAP:
+                self._walked.add(key)
+
+    def _walk_spec_trace(self, spec: Any, trace: Iterable[Any]) -> None:
         step = getattr(spec, "step", None)
         apply = getattr(spec, "apply", None)
         state = spec.initial()

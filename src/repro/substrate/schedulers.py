@@ -110,13 +110,16 @@ class RandomScheduler(Scheduler):
             and self._rng.random() < self._bias
         ):
             choice = self._last
+            index = list(enabled).index(choice)
         else:
             # randrange draws from the same underlying stream as the
             # former ``choice(list(enabled))``, keeping seeded decision
-            # sequences stable across versions.
-            choice = enabled[self._rng.randrange(len(enabled))]
+            # sequences stable across versions.  Thread ids are unique,
+            # so the drawn index is the logged one.
+            index = self._rng.randrange(len(enabled))
+            choice = enabled[index]
         self._last = choice
-        self.log.append((len(enabled), list(enabled).index(choice)))
+        self.log.append((len(enabled), index))
         return choice
 
     def choose_value(self, options: Sequence[Any]) -> Any:
@@ -171,10 +174,12 @@ class PrefixRandomScheduler(Scheduler):
             and self._rng.random() < self._bias
         ):
             choice = self._last
+            index = list(enabled).index(choice)
         else:
-            choice = enabled[self._rng.randrange(len(enabled))]
+            index = self._rng.randrange(len(enabled))
+            choice = enabled[index]
         self._last = choice
-        self.log.append((len(enabled), list(enabled).index(choice)))
+        self.log.append((len(enabled), index))
         return choice
 
     def choose_value(self, options: Sequence[Any]) -> Any:
