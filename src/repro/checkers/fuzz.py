@@ -23,11 +23,19 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.checkers.caspec import CASpec
-from repro.checkers.memo import MemoCALChecker, MemoLinearizabilityChecker
+from repro.checkers.result import Verdict
 from repro.checkers.seqspec import SequentialSpec
-from repro.checkers.verify import ViewFn, _validate_singleton_witness
+from repro.checkers.verify import (
+    CheckPolicy,
+    ViewFn,
+    _campaign_ledger,
+    _campaign_registry,
+    _merge_snapshots,
+)
 from repro.core.history import History
+from repro.obs.coverage import CoverageTracker
 from repro.obs.metrics import Metrics, observe_run
+from repro.obs.provenance import ExplorationLedger
 from repro.obs.report import CounterexampleReport
 from repro.substrate.explore import SetupFn, run_random, run_schedule
 from repro.substrate.faults import FaultCampaign, FaultPlan
@@ -48,60 +56,6 @@ Provenance = Optional[Dict[str, Any]]
 GUIDANCE_MODES = ("uniform", "greybox")
 
 
-def _merge_stats(mine: Stats, theirs: Stats) -> Stats:
-    """Merge two :meth:`Metrics.snapshot` dicts (either may be None)."""
-    if theirs is None:
-        return mine
-    if mine is None:
-        return Metrics.from_snapshot(theirs).snapshot()
-    return Metrics.from_snapshot(mine).merge(Metrics.from_snapshot(theirs)).snapshot()
-
-
-def _merge_coverage(mine: Coverage, theirs: Coverage) -> Coverage:
-    """Merge two :meth:`CoverageTracker.snapshot` dicts (either may be None)."""
-    from repro.obs.coverage import CoverageTracker
-
-    if theirs is None:
-        return mine
-    if mine is None:
-        return CoverageTracker.from_snapshot(theirs).snapshot()
-    return (
-        CoverageTracker.from_snapshot(mine)
-        .merge(CoverageTracker.from_snapshot(theirs))
-        .snapshot()
-    )
-
-
-def _merge_corpus(mine: Corpus, theirs: Corpus) -> Corpus:
-    """Merge two :meth:`ScheduleCorpus.snapshot` lists (either may be None)."""
-    from repro.search.corpus import ScheduleCorpus
-
-    if theirs is None:
-        return mine
-    if mine is None:
-        return ScheduleCorpus.from_snapshot(theirs).snapshot()
-    return (
-        ScheduleCorpus.from_snapshot(mine)
-        .merge(ScheduleCorpus.from_snapshot(theirs))
-        .snapshot()
-    )
-
-
-def _merge_provenance(mine: Provenance, theirs: Provenance) -> Provenance:
-    """Merge two :meth:`ExplorationLedger.snapshot` dicts (either may be None)."""
-    from repro.obs.provenance import ExplorationLedger
-
-    if theirs is None:
-        return mine
-    if mine is None:
-        return ExplorationLedger.from_snapshot(theirs).snapshot()
-    return (
-        ExplorationLedger.from_snapshot(mine)
-        .merge(ExplorationLedger.from_snapshot(theirs))
-        .snapshot()
-    )
-
-
 def _engine_for(guidance: str, corpus, ledger=None):
     """Build the greybox engine for a campaign (None under uniform)."""
     if guidance not in GUIDANCE_MODES:
@@ -118,25 +72,6 @@ def _engine_for(guidance: str, corpus, ledger=None):
     elif not hasattr(corpus, "pick"):  # a snapshot list, not a corpus
         corpus = ScheduleCorpus.from_snapshot(corpus)
     return GreyboxEngine(corpus=corpus, ledger=ledger)
-
-
-def _campaign_registry(metrics) -> Optional[Metrics]:
-    """A fresh campaign-local registry of the caller's registry class.
-
-    Instantiating ``type(metrics)`` (not plain :class:`Metrics`) keeps
-    profiling registries (:class:`~repro.obs.profile.SearchProfiler`)
-    working end-to-end: the campaign-local instance the checkers see
-    carries the same hooks as the caller's.
-    """
-    return type(metrics)() if metrics is not None else None
-
-
-def _campaign_ledger(provenance):
-    """A fresh campaign-local provenance ledger (same discipline as
-    :func:`_campaign_registry`): the campaign records into its own
-    instance, exposes the snapshot as ``report.provenance``, and merges
-    into the caller's ledger on the way out."""
-    return type(provenance)() if provenance is not None else None
 
 
 @dataclass
@@ -211,11 +146,25 @@ class FuzzReport:
     provenance: Provenance = None
 
     @property
+    def verdict(self) -> Verdict:
+        """The :attr:`~repro.checkers.verify.VerificationReport.verdict`
+        rule: ``FAIL`` on any failure; ``UNKNOWN`` when no run was
+        checked, a search was budget-cut or seeds were skipped (deadline,
+        quarantine); ``OK`` only for a clean pass over every seed."""
+        if self.failures:
+            return Verdict.FAIL
+        if self.runs == 0 or self.unknown or self.skipped:
+            return Verdict.UNKNOWN
+        return Verdict.OK
+
+    @property
     def ok(self) -> bool:
-        return self.runs > 0 and not self.failures
+        return self.verdict is Verdict.OK
 
     def merge(self, other: "FuzzReport") -> None:
         """Fold another report's tallies, failures and stats into this one."""
+        from repro.search.corpus import ScheduleCorpus
+
         self.runs += other.runs
         self.incomplete += other.incomplete
         self.crashed += other.crashed
@@ -226,17 +175,23 @@ class FuzzReport:
         self.reports.extend(other.reports)
         self.quarantined.extend(other.quarantined)
         self.fresh_schedules.extend(other.fresh_schedules)
-        self.stats = _merge_stats(self.stats, other.stats)
-        self.coverage = _merge_coverage(self.coverage, other.coverage)
+        self.stats = _merge_snapshots(Metrics, self.stats, other.stats)
+        self.coverage = _merge_snapshots(
+            CoverageTracker, self.coverage, other.coverage
+        )
         # getattr: reports unpickled from pre-corpus campaign stores
         # restore without the attribute.
-        self.corpus = _merge_corpus(self.corpus, getattr(other, "corpus", None))
-        self.provenance = _merge_provenance(
-            self.provenance, getattr(other, "provenance", None)
+        self.corpus = _merge_snapshots(
+            ScheduleCorpus, self.corpus, getattr(other, "corpus", None)
+        )
+        self.provenance = _merge_snapshots(
+            ExplorationLedger, self.provenance, getattr(other, "provenance", None)
         )
 
     def __repr__(self) -> str:
-        verdict = "OK" if self.ok else f"{len(self.failures)} failure(s)"
+        verdict = (
+            f"{len(self.failures)} failure(s)" if self.failures else self.verdict.name
+        )
         extra = f", crashed={self.crashed}" if self.crashed else ""
         extra += f", unknown={self.unknown}" if self.unknown else ""
         extra += f", skipped={self.skipped}" if self.skipped else ""
@@ -393,24 +348,11 @@ def shrink_failure(
 def fuzz_cal(
     setup: SetupFn,
     spec: CASpec,
-    seeds: Sequence[int] = range(50),
-    max_steps: Optional[int] = 5000,
+    *,
     check_witness: bool = True,
     search: bool = False,
     view: Optional[ViewFn] = None,
-    yield_bias: float = 0.0,
-    faults: Faults = None,
-    node_budget: Optional[int] = None,
-    shrink: bool = True,
-    deadline_at: Optional[float] = None,
-    metrics=None,
-    trace=None,
-    coverage=None,
-    progress_every: int = 0,
-    dedup=None,
-    guidance: str = "uniform",
-    corpus=None,
-    provenance=None,
+    **campaign,
 ) -> FuzzReport:
     """Sample random schedules and check CAL on each run.
 
@@ -418,7 +360,10 @@ def fuzz_cal(
     since fuzzing targets workloads where search would dominate.  With
     ``faults``, each seed derives a deterministic fault plan; crash runs
     are checked pending-aware (a wait-free exchanger must stay CAL when
-    its partner dies mid-exchange).
+    its partner dies mid-exchange).  The remaining keywords (``seeds``,
+    ``max_steps``, ``yield_bias``, ``faults``, ``node_budget``,
+    ``shrink`` and the campaign keywords below) are shared with
+    :func:`fuzz_linearizability`.
 
     ``deadline_at`` is an absolute ``time.monotonic()`` instant: seeds
     not yet started when it passes are counted ``skipped`` instead of
@@ -463,7 +408,52 @@ def fuzz_cal(
     it.  The campaign's own snapshot lands in ``report.provenance`` and
     merges into the caller's ledger, mirroring ``metrics``.
     """
-    checker = MemoCALChecker(spec)
+    policy = CheckPolicy.cal(spec, check_witness, search, view)
+    return _fuzz(policy, setup, **campaign)
+
+
+def fuzz_linearizability(
+    setup: SetupFn,
+    spec: SequentialSpec,
+    *,
+    check_witness: bool = False,
+    view: Optional[ViewFn] = None,
+    **campaign,
+) -> FuzzReport:
+    """Sample random schedules and check linearizability on each run.
+
+    Every run is searched; ``check_witness`` additionally validates the
+    recorded singleton witness (viewed through ``view``).  The remaining
+    keywords behave as in :func:`fuzz_cal`.
+    """
+    policy = CheckPolicy.linearizability(spec, check_witness, view)
+    return _fuzz(policy, setup, **campaign)
+
+
+def _fuzz(
+    policy: CheckPolicy,
+    setup: SetupFn,
+    *,
+    seeds: Sequence[int] = range(50),
+    max_steps: Optional[int] = 5000,
+    yield_bias: float = 0.0,
+    faults: Faults = None,
+    node_budget: Optional[int] = None,
+    shrink: bool = True,
+    deadline_at: Optional[float] = None,
+    metrics=None,
+    trace=None,
+    coverage=None,
+    progress_every: int = 0,
+    dedup=None,
+    guidance: str = "uniform",
+    corpus=None,
+    provenance=None,
+) -> FuzzReport:
+    """The seeded campaign loop behind both fuzz drivers."""
+    driver = f"fuzz_{policy.family}"
+    checker = policy.checker
+    spec = checker.spec
     report = FuzzReport()
     campaign = _campaign_registry(metrics)
     audit = _campaign_ledger(provenance)
@@ -473,13 +463,13 @@ def fuzz_cal(
     def diagnose(run: RunResult, stats=None, sink=None):
         """(failure reason or None, budget-cut reason or None)."""
         history = run.history
-        if check_witness:
-            recorded = view(run.trace) if view is not None else run.trace
-            witness = recorded.project_object(spec.oid)
-            result = checker.check_witness(history, witness, metrics=stats)
-            if not result.ok:
-                return result.reason, None
-        if search:
+        if policy.check_witness:
+            problem, _ = policy.witness_problem(
+                history, policy.witness(run), stats
+            )
+            if problem is not None:
+                return problem, None
+        if policy.search:
             result = checker.check(
                 history, node_budget=node_budget, metrics=stats, trace=sink
             )
@@ -492,7 +482,7 @@ def fuzz_cal(
     if trace is not None:
         trace.emit(
             "campaign_begin",
-            driver="fuzz_cal",
+            driver=driver,
             seeds=len(seeds),
             faults=faults is not None,
         )
@@ -514,10 +504,7 @@ def fuzz_cal(
         if coverage is not None:
             coverage.observe_run(position, run.schedule, run.history, oid=spec.oid)
             if run.completed:
-                recorded = view(run.trace) if view is not None else run.trace
-                coverage.observe_spec_trace(
-                    spec, recorded.project_object(spec.oid)
-                )
+                coverage.observe_spec_trace(spec, policy.witness(run))
         if trace is not None and progress_every and (position + 1) % progress_every == 0:
             live = {}
             if coverage is not None:
@@ -526,7 +513,7 @@ def fuzz_cal(
                 live.update(engine.stats())
             trace.emit(
                 "campaign_progress",
-                driver="fuzz_cal",
+                driver=driver,
                 attempted=position + 1,
                 total=len(seeds),
                 runs=report.runs + (1 if run.completed else 0),
@@ -606,183 +593,7 @@ def fuzz_cal(
     if trace is not None:
         trace.emit(
             "campaign_end",
-            driver="fuzz_cal",
-            runs=report.runs,
-            failures=len(report.failures),
-            unknown=report.unknown,
-            skipped=report.skipped,
-        )
-    return report
-
-
-def fuzz_linearizability(
-    setup: SetupFn,
-    spec: SequentialSpec,
-    seeds: Sequence[int] = range(50),
-    max_steps: Optional[int] = 5000,
-    check_witness: bool = False,
-    view: Optional[ViewFn] = None,
-    yield_bias: float = 0.0,
-    faults: Faults = None,
-    node_budget: Optional[int] = None,
-    shrink: bool = True,
-    deadline_at: Optional[float] = None,
-    metrics=None,
-    trace=None,
-    coverage=None,
-    progress_every: int = 0,
-    dedup=None,
-    guidance: str = "uniform",
-    corpus=None,
-    provenance=None,
-) -> FuzzReport:
-    """Sample random schedules and check linearizability on each run.
-
-    ``deadline_at``, ``metrics``/``trace``, ``coverage``,
-    ``progress_every``, ``dedup``, ``guidance``, ``corpus`` and
-    ``provenance`` behave as in :func:`fuzz_cal`.
-    """
-    checker = MemoLinearizabilityChecker(spec)
-    report = FuzzReport()
-    campaign = _campaign_registry(metrics)
-    audit = _campaign_ledger(provenance)
-    engine = _engine_for(guidance, corpus, audit)
-    started = time.monotonic()
-
-    def diagnose(run: RunResult, stats=None, sink=None):
-        """(failure reason or None, budget-cut reason or None)."""
-        history = run.history
-        if check_witness:
-            recorded = view(run.trace) if view is not None else run.trace
-            witness = recorded.project_object(spec.oid)
-            problem = _validate_singleton_witness(checker, history, witness)
-            if problem is not None:
-                return problem, None
-        result = checker.check(
-            history, node_budget=node_budget, metrics=stats, trace=sink
-        )
-        if result.unknown:
-            return None, result.reason
-        if not result.ok:
-            return result.reason, None
-        return None, None
-
-    if trace is not None:
-        trace.emit(
-            "campaign_begin",
-            driver="fuzz_linearizability",
-            seeds=len(seeds),
-            faults=faults is not None,
-        )
-    for position, seed in enumerate(seeds):
-        if deadline_at is not None and time.monotonic() >= deadline_at:
-            skipped = len(seeds) - position
-            report.skipped += skipped
-            if campaign is not None:
-                campaign.count("fuzz.skipped", skipped)
-            if trace is not None:
-                trace.emit("campaign_deadline", skipped=skipped)
-            break
-        run, plan = _fuzz_run(setup, seed, max_steps, yield_bias, faults, engine)
-        if engine is not None:
-            engine.observe(position, run, oid=spec.oid)
-        if campaign is not None:
-            campaign.count("fuzz.seeds")
-            observe_run(campaign, run)
-        if coverage is not None:
-            coverage.observe_run(position, run.schedule, run.history, oid=spec.oid)
-            if run.completed:
-                recorded = view(run.trace) if view is not None else run.trace
-                coverage.observe_spec_trace(
-                    spec, recorded.project_object(spec.oid)
-                )
-        if trace is not None and progress_every and (position + 1) % progress_every == 0:
-            live = {}
-            if coverage is not None:
-                live["distinct_histories"] = len(coverage.histories)
-            if engine is not None:
-                live.update(engine.stats())
-            trace.emit(
-                "campaign_progress",
-                driver="fuzz_linearizability",
-                attempted=position + 1,
-                total=len(seeds),
-                runs=report.runs + (1 if run.completed else 0),
-                failures=len(report.failures),
-                unknown=report.unknown,
-                skipped=report.skipped,
-                elapsed_s=time.monotonic() - started,
-                **live,
-            )
-        if not run.completed:
-            report.incomplete += 1
-            if campaign is not None:
-                campaign.count("fuzz.incomplete")
-            continue
-        report.runs += 1
-        if run.crashed:
-            report.crashed += 1
-        digest = None
-        if dedup is not None and plan is None:
-            digest = dedup.digest(run.schedule)
-            if dedup.seen(digest):
-                report.deduped += 1
-                if campaign is not None:
-                    campaign.count("fuzz.deduped")
-                continue
-        reason, unknown_reason = diagnose(run, campaign, trace)
-        if unknown_reason is not None:
-            report.unknown += 1
-            if campaign is not None:
-                campaign.count("fuzz.unknown")
-            report.reports.append(
-                CounterexampleReport.build(
-                    run.history,
-                    unknown_reason,
-                    verdict="unknown",
-                    seed=seed,
-                    schedule=run.schedule,
-                    plan=plan,
-                    oid=spec.oid,
-                    max_steps=max_steps,
-                )
-            )
-        if reason is not None:
-            if engine is not None:
-                engine.record_failure(run)
-            failure = FuzzFailure(seed, run.history, reason, run.schedule, plan)
-            if shrink:
-                failure = shrink_failure(
-                    setup,
-                    failure,
-                    lambda r: diagnose(r)[0],
-                    max_steps=max_steps,
-                    metrics=campaign,
-                    trace=trace,
-                )
-            failure.report = CounterexampleReport.from_failure(
-                failure, oid=spec.oid, max_steps=max_steps
-            )
-            report.failures.append(failure)
-            report.reports.append(failure.report)
-            if campaign is not None:
-                campaign.count("fuzz.failures")
-        elif unknown_reason is None and digest is not None:
-            report.fresh_schedules.append(digest)
-    if campaign is not None:
-        report.stats = campaign.snapshot()
-        metrics.merge(campaign)
-    if coverage is not None:
-        report.coverage = coverage.snapshot()
-    if engine is not None:
-        report.corpus = engine.corpus.snapshot()
-    if audit is not None:
-        report.provenance = audit.snapshot()
-        provenance.merge(audit)
-    if trace is not None:
-        trace.emit(
-            "campaign_end",
-            driver="fuzz_linearizability",
+            driver=driver,
             runs=report.runs,
             failures=len(report.failures),
             unknown=report.unknown,

@@ -68,17 +68,11 @@ import traceback
 from multiprocessing.connection import wait as _wait_ready
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, TypeVar
 
+from repro.checkers import fuzz as fuzz_drivers
 from repro.checkers.caspec import CASpec
-from repro.checkers.fuzz import (
-    Faults,
-    FuzzReport,
-    fuzz_cal,
-    fuzz_linearizability,
-)
+from repro.checkers.fuzz import FuzzReport
 from repro.checkers.seqspec import SequentialSpec
-from repro.checkers.verify import ViewFn
-from repro.obs.coverage import CoverageTracker
-from repro.obs.metrics import Metrics
+from repro.checkers.verify import _fold_back
 from repro.obs.provenance import ExplorationLedger
 from repro.substrate.explore import (
     ExploreBudget,
@@ -385,14 +379,14 @@ def _quarantine_report(
 
 
 def _fuzz_parallel(
-    driver: Callable[..., FuzzReport],
+    family: str,
     setup: SetupFn,
     spec,
-    seeds: Sequence[int],
-    workers: Optional[int],
-    deadline: Optional[float],
-    shrink: bool,
-    kwargs: dict,
+    *,
+    seeds: Sequence[int] = range(50),
+    workers: Optional[int] = None,
+    deadline: Optional[float] = None,
+    shrink: bool = True,
     metrics=None,
     trace=None,
     coverage=None,
@@ -406,7 +400,16 @@ def _fuzz_parallel(
     guidance: str = "uniform",
     corpus=None,
     provenance=None,
+    **check,
 ) -> FuzzReport:
+    """The parallel campaign behind both fuzz runners.
+
+    ``check`` carries the per-run keywords (``max_steps``, the family's
+    ``check_witness``/``search``/``view``, ``faults``, …) forwarded to
+    the sequential driver ``fuzz_<family>`` — looked up on its module at
+    call time, so a rebound driver is the one that runs.
+    """
+    driver = getattr(fuzz_drivers, f"fuzz_{family}")
     seeds = list(seeds)
     greybox = guidance != "uniform"
     workers = default_workers() if workers is None else workers
@@ -458,7 +461,7 @@ def _fuzz_parallel(
                 guidance=guidance,
                 corpus=corpus,
                 provenance=type(provenance)() if provenance is not None else None,
-                **kwargs,
+                **check,
             )
         return run_chunk
 
@@ -483,7 +486,7 @@ def _fuzz_parallel(
             live["distinct_histories"] = len(seen_histories)
         trace.emit(
             "campaign_progress",
-            driver=getattr(driver, "__name__", "fuzz"),
+            driver=f"fuzz_{family}",
             attempted=finished["attempted"],
             total=total,
             chunks_done=finished["chunks"],
@@ -547,55 +550,19 @@ def _fuzz_parallel(
             spec,
             seeds=[first.seed],
             shrink=True,
-            **kwargs,
+            **check,
         )
         if confirm.failures:  # deterministic, but never drop a failure
             merged.failures[0] = confirm.failures[0]
-    if metrics is not None and merged.stats is not None:
-        metrics.merge(Metrics.from_snapshot(merged.stats))
-    if coverage is not None and merged.coverage is not None:
-        # Fold worker trackers into the caller's, then re-snapshot so
-        # ``report.coverage`` reflects the caller's whole tracker — the
-        # same contract as the sequential driver.
-        coverage.merge(CoverageTracker.from_snapshot(merged.coverage))
-        merged.coverage = coverage.snapshot()
-    if provenance is not None and merged.provenance is not None:
-        provenance.merge(ExplorationLedger.from_snapshot(merged.provenance))
-        merged.provenance = provenance.snapshot()
-    return merged
+    return _fold_back(merged, metrics, coverage, provenance)
 
 
-def fuzz_cal_parallel(
-    setup: SetupFn,
-    spec: CASpec,
-    seeds: Sequence[int] = range(50),
-    workers: Optional[int] = None,
-    deadline: Optional[float] = None,
-    max_steps: Optional[int] = 5000,
-    check_witness: bool = True,
-    search: bool = False,
-    view: Optional[ViewFn] = None,
-    yield_bias: float = 0.0,
-    faults: Faults = None,
-    node_budget: Optional[int] = None,
-    shrink: bool = True,
-    metrics=None,
-    trace=None,
-    coverage=None,
-    progress_every: int = 0,
-    checkpoint=None,
-    checkpoint_every: int = 0,
-    completed: Optional[Mapping[int, FuzzReport]] = None,
-    dedup=None,
-    task_timeout: Optional[float] = None,
-    max_retries: int = DEFAULT_MAX_RETRIES,
-    guidance: str = "uniform",
-    corpus=None,
-    provenance=None,
-) -> FuzzReport:
+def fuzz_cal_parallel(setup: SetupFn, spec: CASpec, **kwargs) -> FuzzReport:
     """:func:`~repro.checkers.fuzz.fuzz_cal` fanned across workers.
 
-    The merged report's tallies cover all chunks; its first failure is
+    Takes the driver's keywords, with ``workers`` (default: the CPU
+    count) and a ``deadline`` in seconds in place of ``deadline_at``,
+    plus the durability hooks below.  The merged report's tallies cover all chunks; its first failure is
     bit-identical (seed + schedule + plan) to the sequential runner's,
     regardless of ``workers`` — shrinking happens in the parent, on the
     winning seed only.
@@ -634,101 +601,18 @@ def fuzz_cal_parallel(
     ledger equals a sequential campaign's byte for byte (the merge law
     is associative and commutative).
     """
-    return _fuzz_parallel(
-        fuzz_cal,
-        setup,
-        spec,
-        seeds,
-        workers,
-        deadline,
-        shrink,
-        dict(
-            max_steps=max_steps,
-            check_witness=check_witness,
-            search=search,
-            view=view,
-            yield_bias=yield_bias,
-            faults=faults,
-            node_budget=node_budget,
-        ),
-        metrics=metrics,
-        trace=trace,
-        coverage=coverage,
-        progress_every=progress_every,
-        checkpoint=checkpoint,
-        checkpoint_every=checkpoint_every,
-        completed=completed,
-        dedup=dedup,
-        task_timeout=task_timeout,
-        max_retries=max_retries,
-        guidance=guidance,
-        corpus=corpus,
-        provenance=provenance,
-    )
+    return _fuzz_parallel("cal", setup, spec, **kwargs)
 
 
 def fuzz_linearizability_parallel(
-    setup: SetupFn,
-    spec: SequentialSpec,
-    seeds: Sequence[int] = range(50),
-    workers: Optional[int] = None,
-    deadline: Optional[float] = None,
-    max_steps: Optional[int] = 5000,
-    check_witness: bool = False,
-    view: Optional[ViewFn] = None,
-    yield_bias: float = 0.0,
-    faults: Faults = None,
-    node_budget: Optional[int] = None,
-    shrink: bool = True,
-    metrics=None,
-    trace=None,
-    coverage=None,
-    progress_every: int = 0,
-    checkpoint=None,
-    checkpoint_every: int = 0,
-    completed: Optional[Mapping[int, FuzzReport]] = None,
-    dedup=None,
-    task_timeout: Optional[float] = None,
-    max_retries: int = DEFAULT_MAX_RETRIES,
-    guidance: str = "uniform",
-    corpus=None,
-    provenance=None,
+    setup: SetupFn, spec: SequentialSpec, **kwargs
 ) -> FuzzReport:
     """:func:`~repro.checkers.fuzz.fuzz_linearizability` fanned across
     workers, with the same determinism guarantees (first failure, merged
     stats and merged coverage), durability hooks (checkpoint, resume,
     dedup, supervised retry/quarantine) and guidance modes as
     :func:`fuzz_cal_parallel`."""
-    return _fuzz_parallel(
-        fuzz_linearizability,
-        setup,
-        spec,
-        seeds,
-        workers,
-        deadline,
-        shrink,
-        dict(
-            max_steps=max_steps,
-            check_witness=check_witness,
-            view=view,
-            yield_bias=yield_bias,
-            faults=faults,
-            node_budget=node_budget,
-        ),
-        metrics=metrics,
-        trace=trace,
-        coverage=coverage,
-        progress_every=progress_every,
-        checkpoint=checkpoint,
-        checkpoint_every=checkpoint_every,
-        completed=completed,
-        dedup=dedup,
-        task_timeout=task_timeout,
-        max_retries=max_retries,
-        guidance=guidance,
-        corpus=corpus,
-        provenance=provenance,
-    )
+    return _fuzz_parallel("linearizability", setup, spec, **kwargs)
 
 
 # ----------------------------------------------------------------------

@@ -6,6 +6,10 @@ against a specification — by search (Def. 6 directly) and/or by
 validating the recorded auxiliary-trace witness (the paper's
 instrumentation-based proof technique, §4–§5).
 
+Both checker families run through one exploration loop; a
+:class:`CheckPolicy` carries the only part that differs — how one run is
+decided (§3: classic linearizability is CAL over singleton elements).
+
 Robustness: exploration takes an optional
 :class:`~repro.substrate.explore.ExploreBudget` and each per-run search a
 ``node_budget``/``deadline``; when a budget trips, the driver degrades —
@@ -18,7 +22,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.checkers.caspec import CASpec
 from repro.checkers.linearizability import LinearizabilityChecker
@@ -27,7 +31,9 @@ from repro.checkers.result import Verdict
 from repro.checkers.seqspec import SequentialSpec
 from repro.core.catrace import CATrace
 from repro.core.history import History
+from repro.obs.coverage import CoverageTracker
 from repro.obs.metrics import Metrics, observe_run
+from repro.obs.provenance import ExplorationLedger
 from repro.obs.report import CounterexampleReport
 from repro.substrate.explore import (
     ExploreBudget,
@@ -35,6 +41,58 @@ from repro.substrate.explore import (
     explore_all,
     validate_exploration,
 )
+
+#: Driver-name suffix (``verify_<suffix>``, ``fuzz_<suffix>``) of each
+#: checker family, keyed by the short name workloads and stores use.
+_FAMILIES = {"cal": "cal", "lin": "linearizability"}
+
+
+def _campaign_registry(metrics) -> Optional[Metrics]:
+    """A fresh campaign-local registry of the caller's registry class.
+
+    Instantiating ``type(metrics)`` (not plain :class:`Metrics`) keeps
+    profiling registries (:class:`~repro.obs.profile.SearchProfiler`)
+    working end-to-end: the campaign-local instance the checkers see
+    carries the same hooks as the caller's.
+    """
+    return type(metrics)() if metrics is not None else None
+
+
+def _campaign_ledger(provenance):
+    """A fresh campaign-local provenance ledger (same discipline as
+    :func:`_campaign_registry`): the campaign records into its own
+    instance, exposes the snapshot as ``report.provenance``, and merges
+    into the caller's ledger on the way out."""
+    return type(provenance)() if provenance is not None else None
+
+
+def _merge_snapshots(cls, mine, theirs):
+    """Merge two ``cls.snapshot()`` values (either may be None) — the
+    stats, coverage, corpus and provenance currency of report merges."""
+    if theirs is None:
+        return mine
+    if mine is None:
+        return cls.from_snapshot(theirs).snapshot()
+    return cls.from_snapshot(mine).merge(cls.from_snapshot(theirs)).snapshot()
+
+
+def _fold_back(report, metrics=None, coverage=None, provenance=None):
+    """Merge a merged report's snapshots into the caller's instruments.
+
+    The coverage and provenance snapshots are then re-taken from the
+    caller's instruments, so ``report.coverage``/``report.provenance``
+    reflect the caller's whole tracker and ledger — the contract of the
+    sequential drivers.  Returns ``report``.
+    """
+    if metrics is not None and report.stats is not None:
+        metrics.merge(Metrics.from_snapshot(report.stats))
+    if coverage is not None and report.coverage is not None:
+        coverage.merge(CoverageTracker.from_snapshot(report.coverage))
+        report.coverage = coverage.snapshot()
+    if provenance is not None and report.provenance is not None:
+        provenance.merge(ExplorationLedger.from_snapshot(report.provenance))
+        report.provenance = provenance.snapshot()
+    return report
 
 
 @dataclass
@@ -106,30 +164,23 @@ class VerificationReport:
         unsharded sweep produces.  ``budget`` objects are not merged —
         sharded durable campaigns run each shard to completion instead.
         """
-        from repro.checkers.fuzz import (
-            _merge_coverage,
-            _merge_provenance,
-            _merge_stats,
-        )
-
         self.runs += other.runs
         self.incomplete += other.incomplete
         self.nodes += other.nodes
         self.unknown += other.unknown
         self.failures.extend(other.failures)
-        self.stats = _merge_stats(self.stats, other.stats)
-        self.coverage = _merge_coverage(self.coverage, other.coverage)
-        self.provenance = _merge_provenance(
-            self.provenance, getattr(other, "provenance", None)
+        self.stats = _merge_snapshots(Metrics, self.stats, other.stats)
+        self.coverage = _merge_snapshots(
+            CoverageTracker, self.coverage, other.coverage
+        )
+        self.provenance = _merge_snapshots(
+            ExplorationLedger, self.provenance, getattr(other, "provenance", None)
         )
 
     def __repr__(self) -> str:
-        if self.ok:
-            verdict = "OK"
-        elif self.failures:
-            verdict = f"{len(self.failures)} failure(s)"
-        else:
-            verdict = "UNKNOWN"
+        verdict = (
+            f"{len(self.failures)} failure(s)" if self.failures else self.verdict.name
+        )
         extra = f", unknown={self.unknown}" if self.unknown else ""
         return (
             f"VerificationReport({verdict}, runs={self.runs}, "
@@ -138,6 +189,72 @@ class VerificationReport:
 
 
 ViewFn = Callable[[CATrace], CATrace]
+
+
+@dataclass(frozen=True)
+class CheckPolicy:
+    """How a campaign decides one run — all that differs between the
+    CAL and the linearizability drivers.
+
+    ``family`` names the drivers in trace events (``verify_<family>``,
+    ``fuzz_<family>``); ``checker`` is the campaign's decision memo
+    (:mod:`repro.checkers.memo`).  ``check_witness`` validates the run's
+    recorded witness ``T_o`` (:meth:`witness`, Def. 5); ``search`` looks
+    for *some* agreeing spec trace (Def. 6).  ``fallback`` says whether a
+    budget-cut search whose run skipped the witness check is decided by
+    that check instead: CAL always falls back, linearizability only with
+    a ``view`` — a linearizable object's raw trace is not a singleton
+    witness unless a view makes it one (E5's ``F_ES``).
+    """
+
+    family: str
+    checker: Any
+    check_witness: bool
+    search: bool
+    view: Optional[ViewFn]
+    fallback: bool
+
+    @classmethod
+    def cal(
+        cls,
+        spec: CASpec,
+        check_witness: bool,
+        search: bool,
+        view: Optional[ViewFn],
+    ) -> "CheckPolicy":
+        return cls("cal", MemoCALChecker(spec), check_witness, search, view, True)
+
+    @classmethod
+    def linearizability(
+        cls, spec: SequentialSpec, check_witness: bool, view: Optional[ViewFn]
+    ) -> "CheckPolicy":
+        return cls(
+            "linearizability",
+            MemoLinearizabilityChecker(spec),
+            check_witness,
+            True,
+            view,
+            view is not None,
+        )
+
+    def witness(self, run) -> CATrace:
+        """The run's recorded trace, through ``view``, projected on the
+        spec's object — §4's ``T_o = F_o(T)|o``."""
+        recorded = self.view(run.trace) if self.view is not None else run.trace
+        return recorded.project_object(self.checker.spec.oid)
+
+    def witness_problem(
+        self, history: History, witness: CATrace, metrics=None
+    ) -> Tuple[Optional[str], int]:
+        """(why ``witness`` does not justify ``history`` or None, nodes).
+
+        CAL validation records into ``metrics`` and counts its nodes; the
+        singleton check of linearizability does neither.
+        """
+        if self.family == "cal":
+            result = self.checker.check_witness(history, witness, metrics=metrics)
+            return (None if result.ok else result.reason), result.nodes
+        return _validate_singleton_witness(self.checker, history, witness), 0
 
 
 def _record_failure(
@@ -163,23 +280,11 @@ def _record_failure(
 def verify_cal(
     setup: SetupFn,
     spec: CASpec,
-    max_steps: Optional[int] = None,
+    *,
     check_witness: bool = True,
     search: bool = True,
     view: Optional[ViewFn] = None,
-    limit: Optional[int] = None,
-    preemption_bound: Optional[int] = None,
-    budget: Optional[ExploreBudget] = None,
-    node_budget: Optional[int] = None,
-    deadline: Optional[float] = None,
-    metrics=None,
-    trace=None,
-    coverage=None,
-    progress_every: int = 0,
-    pin_prefix: Sequence[int] = (),
-    reduction: str = "none",
-    sleep_seed=None,
-    provenance=None,
+    **campaign,
 ) -> VerificationReport:
     """Explore all runs of ``setup`` and check CAL w.r.t. ``spec``.
 
@@ -192,6 +297,11 @@ def verify_cal(
     When a per-run search trips its ``node_budget``/``deadline``, the
     driver falls back to witness validation for that run (if not already
     performed) and counts the run ``unknown`` — degraded but never hung.
+
+    The remaining keywords (``max_steps``, ``limit``,
+    ``preemption_bound``, ``budget``, ``node_budget``, ``deadline`` and
+    the campaign keywords below) are shared with
+    :func:`verify_linearizability`.
 
     ``metrics``/``trace`` (see :mod:`repro.obs`) observe the driver; the
     driver's counters land in ``report.stats`` and are merged into the
@@ -223,126 +333,39 @@ def verify_cal(
     and merges into the caller's ledger, mirroring ``metrics``.
     Observation-only: the explored schedules are identical either way.
     """
-    from repro.checkers.fuzz import _campaign_ledger
-
-    validate_exploration(reduction, preemption_bound=preemption_bound)
-    checker = MemoCALChecker(spec)
-    report = VerificationReport(budget=budget)
-    campaign = type(metrics)() if metrics is not None else None
-    audit = _campaign_ledger(provenance)
-    started = time.monotonic()
-    attempted = 0
-    if budget is not None:
-        budget.start()
-    if trace is not None:
-        trace.emit("verify_begin", driver="verify_cal", oid=spec.oid)
-    for run in explore_all(
-        setup,
-        max_steps=max_steps,
-        limit=limit,
-        preemption_bound=preemption_bound,
-        budget=budget,
-        pin_prefix=pin_prefix,
-        reduction=reduction,
-        sleep_seed=sleep_seed,
-        provenance=audit,
-    ):
-        if campaign is not None:
-            observe_run(campaign, run)
-        position, attempted = attempted, attempted + 1
-        if coverage is not None:
-            coverage.observe_run(position, run.schedule, run.history, oid=spec.oid)
-        if trace is not None and progress_every and attempted % progress_every == 0:
-            live = {}
-            if coverage is not None:
-                live["distinct_histories"] = len(coverage.histories)
-            trace.emit(
-                "campaign_progress",
-                driver="verify_cal",
-                attempted=attempted,
-                runs=report.runs + (1 if run.completed else 0),
-                failures=len(report.failures),
-                unknown=report.unknown,
-                elapsed_s=time.monotonic() - started,
-                **live,
-            )
-        if not run.completed:
-            report.incomplete += 1
-            continue
-        report.runs += 1
-        history = run.history
-        recorded = view(run.trace) if view is not None else run.trace
-        witness = recorded.project_object(spec.oid)
-        if coverage is not None:
-            coverage.observe_spec_trace(spec, witness)
-        witness_checked = False
-        if check_witness:
-            result = checker.check_witness(history, witness, metrics=campaign)
-            report.nodes += result.nodes
-            witness_checked = True
-            if not result.ok:
-                _record_failure(
-                    report, run, witness, result.reason, spec.oid, max_steps
-                )
-                continue
-        if search:
-            result = checker.check(
-                history,
-                node_budget=node_budget,
-                deadline=deadline,
-                metrics=campaign,
-                trace=trace,
-            )
-            report.nodes += result.nodes
-            if result.unknown:
-                report.unknown += 1
-                if not witness_checked:
-                    # Degrade: the linear witness check still decides
-                    # this run even when search is over budget.
-                    fallback = checker.check_witness(
-                        history, witness, metrics=campaign
-                    )
-                    report.nodes += fallback.nodes
-                    if not fallback.ok:
-                        _record_failure(
-                            report,
-                            run,
-                            witness,
-                            fallback.reason,
-                            spec.oid,
-                            max_steps,
-                        )
-                continue
-            if not result.ok:
-                _record_failure(
-                    report, run, run.trace, result.reason, spec.oid, max_steps
-                )
-    if campaign is not None:
-        report.stats = campaign.snapshot()
-        metrics.merge(campaign)
-    if coverage is not None:
-        report.coverage = coverage.snapshot()
-    if audit is not None:
-        report.provenance = audit.snapshot()
-        provenance.merge(audit)
-    if trace is not None:
-        trace.emit(
-            "verify_end",
-            driver="verify_cal",
-            verdict=report.verdict.value,
-            runs=report.runs,
-            failures=len(report.failures),
-            unknown=report.unknown,
-        )
-    return report
+    policy = CheckPolicy.cal(spec, check_witness, search, view)
+    return _verify(policy, setup, **campaign)
 
 
 def verify_linearizability(
     setup: SetupFn,
     spec: SequentialSpec,
-    max_steps: Optional[int] = None,
+    *,
     check_witness: bool = False,
     view: Optional[ViewFn] = None,
+    **campaign,
+) -> VerificationReport:
+    """Explore all runs of ``setup`` and check classic linearizability.
+
+    With ``check_witness``, the recorded trace (viewed through ``view``)
+    must consist of singleton elements forming a legal linearization that
+    the history agrees with — the modular elimination-stack proof (E5)
+    uses exactly this with ``view = F_ES``.
+
+    Budgets degrade as in :func:`verify_cal`, except that a budget-cut
+    search falls back to witness validation only when a view is
+    available; the run counts as ``unknown`` either way.  The remaining
+    keywords behave as in :func:`verify_cal`.
+    """
+    policy = CheckPolicy.linearizability(spec, check_witness, view)
+    return _verify(policy, setup, **campaign)
+
+
+def _verify(
+    policy: CheckPolicy,
+    setup: SetupFn,
+    *,
+    max_steps: Optional[int] = None,
     limit: Optional[int] = None,
     preemption_bound: Optional[int] = None,
     budget: Optional[ExploreBudget] = None,
@@ -357,32 +380,20 @@ def verify_linearizability(
     sleep_seed=None,
     provenance=None,
 ) -> VerificationReport:
-    """Explore all runs of ``setup`` and check classic linearizability.
-
-    With ``check_witness``, the recorded trace (viewed through ``view``)
-    must consist of singleton elements forming a legal linearization that
-    the history agrees with — the modular elimination-stack proof (E5)
-    uses exactly this with ``view = F_ES``.
-
-    Budgets degrade exactly as in :func:`verify_cal`: a budget-cut search
-    falls back to witness validation (when a view is available) and the
-    run counts as ``unknown``.  ``metrics``/``trace``/``coverage``/
-    ``progress_every``/``pin_prefix``/``reduction``/``sleep_seed``/
-    ``provenance`` behave as in :func:`verify_cal`.
-    """
-    from repro.checkers.fuzz import _campaign_ledger
-
+    """The exploration loop behind both verify drivers."""
     validate_exploration(reduction, preemption_bound=preemption_bound)
-    checker = MemoLinearizabilityChecker(spec)
+    driver = f"verify_{policy.family}"
+    checker = policy.checker
+    spec = checker.spec
     report = VerificationReport(budget=budget)
-    campaign = type(metrics)() if metrics is not None else None
+    campaign = _campaign_registry(metrics)
     audit = _campaign_ledger(provenance)
     started = time.monotonic()
     attempted = 0
     if budget is not None:
         budget.start()
     if trace is not None:
-        trace.emit("verify_begin", driver="verify_linearizability", oid=spec.oid)
+        trace.emit("verify_begin", driver=driver, oid=spec.oid)
     for run in explore_all(
         setup,
         max_steps=max_steps,
@@ -405,7 +416,7 @@ def verify_linearizability(
                 live["distinct_histories"] = len(coverage.histories)
             trace.emit(
                 "campaign_progress",
-                driver="verify_linearizability",
+                driver=driver,
                 attempted=attempted,
                 runs=report.runs + (1 if run.completed else 0),
                 failures=len(report.failures),
@@ -418,19 +429,17 @@ def verify_linearizability(
             continue
         report.runs += 1
         history = run.history
-        recorded = view(run.trace) if view is not None else run.trace
-        witness = recorded.project_object(spec.oid)
+        witness = policy.witness(run)
         if coverage is not None:
             coverage.observe_spec_trace(spec, witness)
-        witness_checked = False
-        if check_witness:
-            problem = _validate_singleton_witness(checker, history, witness)
-            witness_checked = True
+        if policy.check_witness:
+            problem, nodes = policy.witness_problem(history, witness, campaign)
+            report.nodes += nodes
             if problem is not None:
-                _record_failure(
-                    report, run, witness, problem, spec.oid, max_steps
-                )
+                _record_failure(report, run, witness, problem, spec.oid, max_steps)
                 continue
+        if not policy.search:
+            continue
         result = checker.check(
             history,
             node_budget=node_budget,
@@ -441,10 +450,11 @@ def verify_linearizability(
         report.nodes += result.nodes
         if result.unknown:
             report.unknown += 1
-            if not witness_checked and view is not None:
-                problem = _validate_singleton_witness(
-                    checker, history, witness
-                )
+            if not policy.check_witness and policy.fallback:
+                # Degrade: the linear witness check still decides this
+                # run even when search is over budget.
+                problem, nodes = policy.witness_problem(history, witness, campaign)
+                report.nodes += nodes
                 if problem is not None:
                     _record_failure(
                         report, run, witness, problem, spec.oid, max_steps
@@ -465,7 +475,7 @@ def verify_linearizability(
     if trace is not None:
         trace.emit(
             "verify_end",
-            driver="verify_linearizability",
+            driver=driver,
             verdict=report.verdict.value,
             runs=report.runs,
             failures=len(report.failures),

@@ -157,10 +157,8 @@ def durable_fuzz(
     (``search``, ``check_witness``, …) that the CLI re-derives from the
     workload registry on resume.
     """
-    from repro.checkers.parallel import (
-        fuzz_cal_parallel,
-        fuzz_linearizability_parallel,
-    )
+    from repro.checkers import parallel
+    from repro.checkers.verify import _FAMILIES
 
     completed = _begin(
         store, campaign_id, "fuzz", workload, checker, config, trace=trace
@@ -187,7 +185,7 @@ def durable_fuzz(
     writer = CheckpointWriter(
         store, campaign_id, trace=trace, abort_after=abort_after
     )
-    driver = fuzz_cal_parallel if checker == "cal" else fuzz_linearizability_parallel
+    driver = getattr(parallel, f"fuzz_{_FAMILIES[checker]}_parallel")
     try:
         with _span(
             trace, "campaign", span_path(("campaign", campaign_id)), kind="fuzz"
@@ -230,6 +228,70 @@ def durable_fuzz(
     return report
 
 
+def _sweep_shards(
+    store: CampaignStore,
+    campaign_id: str,
+    kind: str,
+    setup,
+    max_steps: Optional[int],
+    reduction: str,
+    completed: Dict[int, Any],
+    run_shard: Callable[[int, List[int], Any, Dict[int, Any]], Any],
+    trace=None,
+    abort_after: int = 0,
+) -> List[Any]:
+    """Run a sharded exhaustive campaign, one checkpointed chunk per shard.
+
+    Shards by the first decision point (the partition
+    :func:`~repro.checkers.parallel.explore_parallel` uses) and runs the
+    shards missing from ``completed`` sequentially in pin order, each in
+    a chunk span and committed as it finishes.  Reduced sweeps hand each
+    shard the sleep state of its siblings
+    (:func:`~repro.substrate.explore.shard_sleep_seeds`) — a pure
+    function of ``setup``, so a resumed campaign's remaining shards
+    prune exactly as the uninterrupted run's did.
+    ``run_shard(index, pin, sleep_seed, shards)`` returns one shard's
+    checkpoint payload; ``shards`` already holds the payloads of every
+    shard before it.  Returns all payloads in pin order.
+    """
+    from repro.checkers.parallel import _first_arity
+    from repro.substrate.explore import shard_sleep_seeds
+
+    arity = _first_arity(setup, max_steps)
+    pins: List[Any] = [[k] for k in range(arity)] if arity > 1 else [[]]
+    seeds = (
+        shard_sleep_seeds(setup, arity)
+        if reduction != "none" and arity > 1
+        else None
+    )
+    writer = CheckpointWriter(
+        store, campaign_id, trace=trace, abort_after=abort_after
+    )
+    shards: Dict[int, Any] = dict(completed)
+    try:
+        with _span(
+            trace, "campaign", span_path(("campaign", campaign_id)), kind=kind
+        ):
+            for index, pin in enumerate(pins):
+                if index in shards:
+                    continue
+                with _span(
+                    trace,
+                    "chunk",
+                    span_path(("campaign", campaign_id), ("chunk", index)),
+                    chunk=index,
+                ):
+                    payload = run_shard(
+                        index, pin, None if seeds is None else seeds[index], shards
+                    )
+                writer.chunk_done(index, index, 1, payload)
+                shards[index] = payload
+    except KeyboardInterrupt:
+        store.set_status(campaign_id, STATUS_INTERRUPTED)
+        raise
+    return [shards[index] for index in range(len(pins))]
+
+
 def durable_explore(
     store: CampaignStore,
     campaign_id: str,
@@ -258,82 +320,49 @@ def durable_explore(
     seeds are a pure function of ``setup``, a resumed campaign's
     remaining shards prune exactly as the uninterrupted run's did.
     """
-    from repro.checkers.parallel import (
-        _first_arity,
-        _observe_explore,
-        _sanitize,
-    )
-    from repro.substrate.explore import (
-        explore_all,
-        shard_sleep_seeds,
-        validate_exploration,
-    )
+    from repro.checkers.parallel import _observe_explore, _sanitize
+    from repro.substrate.explore import explore_all, validate_exploration
 
     reduction = config.get("reduction", "none")
     validate_exploration(reduction)
     completed = _begin(
         store, campaign_id, "explore", workload, checker, config, trace=trace
     )
-    max_steps = config["max_steps"]
-    arity = _first_arity(setup, max_steps)
-    pins: List[Any] = [[k] for k in range(arity)] if arity > 1 else [[]]
-    seeds = (
-        shard_sleep_seeds(setup, arity)
-        if reduction != "none" and arity > 1
-        else None
-    )
-    writer = CheckpointWriter(
-        store, campaign_id, trace=trace, abort_after=abort_after
-    )
-    shards: Dict[int, Any] = dict(completed)
-    try:
-        with _span(
-            trace,
-            "campaign",
-            span_path(("campaign", campaign_id)),
-            kind="explore",
-        ):
-            for index, pin in enumerate(pins):
-                if index in shards:
-                    continue
-                # Each shard records into a private ledger whose snapshot
-                # is checkpointed beside the shard's results, so a
-                # resumed campaign's merged ledger equals an
-                # uninterrupted one's — the coverage discipline.
-                shard_ledger = (
-                    type(provenance)() if provenance is not None else None
-                )
-                with _span(
-                    trace,
-                    "chunk",
-                    span_path(("campaign", campaign_id), ("chunk", index)),
-                    chunk=index,
-                ):
-                    results = [
-                        _sanitize(result)
-                        for result in explore_all(
-                            setup,
-                            max_steps=max_steps,
-                            pin_prefix=pin,
-                            reduction=reduction,
-                            sleep_seed=None if seeds is None else seeds[index],
-                            provenance=shard_ledger,
-                        )
-                    ]
-                payload: Any = results
-                if shard_ledger is not None:
-                    payload = {
-                        "results": results,
-                        "provenance": shard_ledger.snapshot(),
-                    }
-                writer.chunk_done(index, index, 1, payload)
-                shards[index] = payload
-    except KeyboardInterrupt:
-        store.set_status(campaign_id, STATUS_INTERRUPTED)
-        raise
+
+    def run_shard(index, pin, sleep_seed, shards):
+        # Each shard records into a private ledger whose snapshot is
+        # checkpointed beside the shard's results, so a resumed
+        # campaign's merged ledger equals an uninterrupted one's — the
+        # coverage discipline.
+        shard_ledger = type(provenance)() if provenance is not None else None
+        results = [
+            _sanitize(result)
+            for result in explore_all(
+                setup,
+                max_steps=config["max_steps"],
+                pin_prefix=pin,
+                reduction=reduction,
+                sleep_seed=sleep_seed,
+                provenance=shard_ledger,
+            )
+        ]
+        if shard_ledger is None:
+            return results
+        return {"results": results, "provenance": shard_ledger.snapshot()}
+
     merged: List[Any] = []
-    for index in range(len(pins)):
-        payload = shards[index]
+    for payload in _sweep_shards(
+        store,
+        campaign_id,
+        "explore",
+        setup,
+        config["max_steps"],
+        reduction,
+        completed,
+        run_shard,
+        trace=trace,
+        abort_after=abort_after,
+    ):
         # Checkpoints from pre-provenance campaigns (or ledger-off runs)
         # restore as bare result lists; ledger-on chunks restore as
         # {"results", "provenance"} payloads.
@@ -383,17 +412,8 @@ def durable_verify(
     boundaries (:func:`~repro.substrate.explore.shard_sleep_seeds`), so
     the merged reduced sweep checks the same runs as an unsharded one.
     """
-    from repro.checkers.parallel import _first_arity
-    from repro.checkers.verify import (
-        VerificationReport,
-        verify_cal,
-        verify_linearizability,
-    )
-    from repro.obs.metrics import Metrics
-    from repro.substrate.explore import (
-        shard_sleep_seeds,
-        validate_exploration,
-    )
+    from repro.checkers import verify
+    from repro.substrate.explore import validate_exploration
 
     reduction = (driver_kwargs or {}).get("reduction", "none")
     validate_exploration(
@@ -403,80 +423,48 @@ def durable_verify(
     completed = _begin(
         store, campaign_id, "verify", workload, checker, config, trace=trace
     )
-    max_steps = config["max_steps"]
-    arity = _first_arity(setup, max_steps)
-    pins: List[Any] = [[k] for k in range(arity)] if arity > 1 else [[]]
-    seeds = (
-        shard_sleep_seeds(setup, arity)
-        if reduction != "none" and arity > 1
-        else None
-    )
-    writer = CheckpointWriter(
-        store, campaign_id, trace=trace, abort_after=abort_after
-    )
-    driver: Callable[..., Any] = (
-        verify_cal if checker == "cal" else verify_linearizability
-    )
-    shards: Dict[int, Any] = dict(completed)
-    attempted = 0
-    try:
-        with _span(
-            trace,
-            "campaign",
-            span_path(("campaign", campaign_id)),
-            kind="verify",
-        ):
-            for index, pin in enumerate(pins):
-                if index in shards:
-                    attempted += shards[index].runs + shards[index].incomplete
-                    continue
-                shard_coverage = None
-                if coverage is not None:
-                    shard_coverage = type(coverage)(
-                        prefix_depth=coverage.prefix_depth, offset=attempted
-                    )
-                with _span(
-                    trace,
-                    "chunk",
-                    span_path(("campaign", campaign_id), ("chunk", index)),
-                    chunk=index,
-                ):
-                    shard = driver(
-                        setup,
-                        spec,
-                        max_steps=max_steps,
-                        metrics=type(metrics)() if metrics is not None else None,
-                        trace=trace,
-                        coverage=shard_coverage,
-                        progress_every=progress_every,
-                        pin_prefix=pin,
-                        sleep_seed=None if seeds is None else seeds[index],
-                        provenance=(
-                            type(provenance)() if provenance is not None else None
-                        ),
-                        **(driver_kwargs or {}),
-                    )
-                writer.chunk_done(index, index, 1, shard)
-                shards[index] = shard
-                attempted += shard.runs + shard.incomplete
-    except KeyboardInterrupt:
-        store.set_status(campaign_id, STATUS_INTERRUPTED)
-        raise
-    merged = VerificationReport()
-    for index in range(len(pins)):
-        merged.merge(shards[index])
-    if metrics is not None and merged.stats is not None:
-        metrics.merge(Metrics.from_snapshot(merged.stats))
-    if coverage is not None and merged.coverage is not None:
-        from repro.obs.coverage import CoverageTracker
+    driver = getattr(verify, f"verify_{verify._FAMILIES[checker]}")
 
-        coverage.merge(CoverageTracker.from_snapshot(merged.coverage))
-        merged.coverage = coverage.snapshot()
-    if provenance is not None and merged.provenance is not None:
-        # Restored shard reports carry their ledger snapshots (they ride
-        # inside the pickled report), so resume needs no special casing.
-        provenance.merge(ExplorationLedger.from_snapshot(merged.provenance))
-        merged.provenance = provenance.snapshot()
+    def run_shard(index, pin, sleep_seed, shards):
+        shard_coverage = None
+        if coverage is not None:
+            attempted = sum(
+                shards[k].runs + shards[k].incomplete for k in range(index)
+            )
+            shard_coverage = type(coverage)(
+                prefix_depth=coverage.prefix_depth, offset=attempted
+            )
+        return driver(
+            setup,
+            spec,
+            max_steps=config["max_steps"],
+            metrics=type(metrics)() if metrics is not None else None,
+            trace=trace,
+            coverage=shard_coverage,
+            progress_every=progress_every,
+            pin_prefix=pin,
+            sleep_seed=sleep_seed,
+            provenance=type(provenance)() if provenance is not None else None,
+            **(driver_kwargs or {}),
+        )
+
+    merged = verify.VerificationReport()
+    for shard in _sweep_shards(
+        store,
+        campaign_id,
+        "verify",
+        setup,
+        config["max_steps"],
+        reduction,
+        completed,
+        run_shard,
+        trace=trace,
+        abort_after=abort_after,
+    ):
+        merged.merge(shard)
+    # Restored shard reports carry their ledger snapshots (they ride
+    # inside the pickled report), so resume needs no special casing.
+    verify._fold_back(merged, metrics, coverage, provenance)
     store.set_status(campaign_id, STATUS_COMPLETE)
     _persist_knowledge(
         store, workload, checker, probe_width(setup), None, None, coverage

@@ -10,8 +10,10 @@ it — the report must be a single well-formed, self-contained page.
 from __future__ import annotations
 
 import json
+import re
 from html.parser import HTMLParser
 from io import StringIO
+from pathlib import Path
 
 import pytest
 
@@ -174,6 +176,67 @@ class TestExploreAndVerify:
         row = artifact["profile"][0]
         assert row["checker"] == "cal"
         assert row["oid"] == "E"
+
+
+def _readme_verdicts():
+    """Workload name -> the verdict the README's workload table promises."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    verdicts = {}
+    for line in readme.read_text(encoding="utf-8").splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if len(cells) < 3 or cells[2].strip("*") not in ("OK", "FAIL"):
+            continue
+        for name in re.findall(r"`([^`]+)`", cells[0]):
+            verdicts[name] = cells[2].strip("*")
+    return verdicts
+
+
+class TestRegistryVerdicts:
+    """Every registry workload's default fuzz campaign gives the verdict
+    the README table promises (a witness check that cannot see the
+    object's elements, for one, shows up here as spurious failures)."""
+
+    def test_readme_table_covers_the_registry(self):
+        assert set(_readme_verdicts()) == set(WORKLOADS)
+
+    @pytest.mark.parametrize("name", sorted(WORKLOADS))
+    def test_fuzz_verdict_matches_readme(self, name, tmp_path):
+        expected = _readme_verdicts()[name]
+        path = tmp_path / "campaign.json"
+        code = _run(
+            "fuzz", "--workload", name, "--seeds", "200", "--quiet",
+            "--json", str(path),
+        )
+        artifact = json.loads(path.read_text())
+        assert artifact["verdict"] == expected, artifact["tallies"]
+        assert code == (0 if expected == "OK" else 1)
+
+
+class TestCampaignOptions:
+    """Options are registered only where they take effect."""
+
+    @pytest.mark.parametrize(
+        "flags", [["--dedup"], ["--checkpoint-every", "10"]]
+    )
+    def test_store_options_need_a_store(self, flags):
+        with pytest.raises(SystemExit, match="--store"):
+            _run("fuzz", "--workload", "figure3", "--quiet", *flags)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--workers", "2"],
+            ["verify", "--dedup"],
+            ["verify", "--checkpoint-every", "10"],
+            ["explore", "--dedup"],
+            ["explore", "--checkpoint-every", "10"],
+        ],
+    )
+    def test_options_without_effect_are_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            _run(*argv, "--workload", "exchanger2", "--quiet")
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class _PageChecker(HTMLParser):

@@ -20,7 +20,7 @@ import pytest
 from repro.checkers import fuzz_cal, fuzz_cal_parallel
 from repro.checkers.parallel import _fork_context
 from repro.checkers.verify import verify_cal
-from repro.cli import WORKLOADS, main
+from repro.cli import WORKLOADS, _durable_config, build_parser, main
 from repro.obs.coverage import CoverageTracker
 from repro.obs.metrics import Metrics
 from repro.obs.tracing import TraceSink
@@ -495,3 +495,42 @@ class TestCLIResume:
             artifact = json.load(handle)
         assert "campaign" not in artifact
         assert artifact["tallies"]["runs"] == 10
+
+
+class TestCampaignIds:
+    """The ids the CLI derives from a command line are the keys every
+    stored campaign lives under: a changed id would silently orphan
+    them (``resume`` and ``--dedup`` would start afresh)."""
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (
+                "fuzz --workload figure3 --seeds 60 --checkpoint-every 20",
+                "fuzz-figure3-f1ed48807b",
+            ),
+            (
+                "fuzz --workload treiber-reuse --seeds 2000 "
+                "--checkpoint-every 200 --guidance greybox",
+                "fuzz-treiber-reuse-28171bb17a",
+            ),
+            (
+                "fuzz --workload sync-queue --seeds 100 --dedup",
+                "fuzz-sync-queue-e2e83bfd2b",
+            ),
+            ("verify --workload exchanger2", "verify-exchanger2-8bbef0b54a"),
+            (
+                "verify --workload exchanger3 --reduction dpor",
+                "verify-exchanger3-b614dc4007",
+            ),
+            (
+                "explore --workload exchanger2 --reduction dpor",
+                "explore-exchanger2-018042ff67",
+            ),
+        ],
+    )
+    def test_cli_derived_campaign_id_is_pinned(self, argv, expected):
+        args = build_parser().parse_args(argv.split())
+        kind = args.command
+        config = _durable_config(kind, WORKLOADS[args.workload], args)
+        assert default_campaign_id(kind, args.workload, config) == expected
