@@ -55,7 +55,7 @@ from repro.substrate.effects import (
 from repro.substrate.errors import ExplorationCut
 from repro.substrate.faults import CRASH, DELAY, STALL, FaultInjector, FaultPlan
 from repro.substrate.memory import RECLAIM_GC, Heap, Ref
-from repro.substrate.schedulers import Scheduler, flush_id, flush_owner, is_flush
+from repro.substrate.schedulers import Scheduler, flush_id
 
 #: Memory models the runtime can execute under.
 MEMORY_SC = "sc"
@@ -235,7 +235,17 @@ class Runtime:
             ctx = Ctx(tid)
             self._threads[tid] = _Thread(tid, program(ctx))
         #: Per-thread FIFO store buffers (TSO only): oldest entry first.
+        #: A thread has an entry only while its buffer is non-empty.
         self._buffers: Dict[str, List[Tuple[Ref, Any, Optional[Callable]]]] = {}
+        self._tso = memory_model == MEMORY_TSO
+        #: Flush pseudo-thread id -> the thread whose buffer it drains,
+        #: in program order.  Empty under SC.
+        self._flush_owners: Dict[str, str] = (
+            {flush_id(tid): tid for tid in self._threads} if self._tso else {}
+        )
+        #: The enabled set as of the last liveness or buffer-occupancy
+        #: change; ``None`` once such a change makes it stale.
+        self._enabled: Optional[Tuple[str, ...]] = None
         self.steps = 0
         self.counters: Dict[str, int] = {}
         self.crashed: Dict[str, str] = {}
@@ -266,17 +276,30 @@ class Runtime:
         return self
 
     def enabled(self) -> List[str]:
-        ids = [t.tid for t in self._threads.values() if not t.finished]
-        if self.memory_model == MEMORY_TSO:
+        """The ids that may take the next step: unfinished threads in
+        program order, then the flush pseudo-thread of every non-empty
+        store buffer, in program order of its owner."""
+        return list(self._enabled_ids())
+
+    def _enabled_ids(self) -> Tuple[str, ...]:
+        """:meth:`enabled` as a cached tuple.
+
+        The set changes only when a thread finishes, crashes or halts, a
+        write lands in an empty store buffer, or a flush or drain
+        empties one; each of those clears ``_enabled``.
+        """
+        enabled = self._enabled
+        if enabled is None:
+            ids = [t.tid for t in self._threads.values() if not t.finished]
             # A non-empty store buffer keeps its flush pseudo-thread
             # enabled even after the owner finished — buffered writes
             # must still reach memory for the run to complete.
             ids.extend(
-                flush_id(tid)
-                for tid in self._threads
-                if self._buffers.get(tid)
+                fid for fid, owner in self._flush_owners.items()
+                if owner in self._buffers
             )
-        return ids
+            enabled = self._enabled = tuple(ids)
+        return enabled
 
     def run(self, max_steps: Optional[int] = None) -> RunResult:
         """Run until all threads finish, halt, or ``max_steps`` is reached.
@@ -289,15 +312,18 @@ class Runtime:
             start = getattr(monitor, "on_start", None)
             if start is not None:
                 start(self.world)
+        flush_owners = self._flush_owners
         while True:
-            enabled = self.enabled()
+            enabled = self._enabled
+            if enabled is None:
+                enabled = self._enabled_ids()
             if not enabled:
                 break
             if max_steps is not None and self.steps >= max_steps:
                 return self._finish(completed=False)
             tid = self.scheduler.choose_thread(enabled)
-            if is_flush(tid):
-                self._flush_one(flush_owner(tid))
+            if tid in flush_owners:
+                self._flush_one(flush_owners[tid])
                 continue
             try:
                 self.step_thread(tid)
@@ -354,6 +380,7 @@ class Runtime:
         thread.finished = True
         thread.halted_reason = reason
         self.crashed[tid] = reason
+        self._enabled = None
         if drop_buffer:
             dropped = self._buffers.pop(tid, None)
             if dropped:
@@ -404,28 +431,34 @@ class Runtime:
         except StopIteration as stop:
             thread.finished = True
             thread.result = stop.value
+            self._enabled = None
             self.steps += 1
             if self.observer is not None:
                 self.observer(tid, None)
             return
         except Exception as exc:  # noqa: BLE001 — surfaced with context
             thread.finished = True
+            self._enabled = None
             raise ThreadCrashed(tid, exc) from exc
 
-        want_snapshots = bool(self.monitors)
-        pre = self.world.heap.snapshot() if want_snapshots else None
-        pre_trace = self.world.trace if want_snapshots else None
+        if not self.monitors:
+            thread.inbox = self._interpret(tid, effect)
+            self.steps += 1
+            if self.observer is not None:
+                self.observer(tid, effect)
+            return
+        pre = self.world.heap.snapshot()
+        pre_trace = self.world.trace
         thread.inbox = self._interpret(tid, effect)
         self.steps += 1
         if self.observer is not None:
             self.observer(tid, effect)
-        if want_snapshots:
-            post = self.world.heap.snapshot()
-            post_trace = self.world.trace
-            for monitor in self.monitors:
-                monitor.on_transition(
-                    tid, effect, thread.inbox, pre, post, pre_trace, post_trace
-                )
+        post = self.world.heap.snapshot()
+        post_trace = self.world.trace
+        for monitor in self.monitors:
+            monitor.on_transition(
+                tid, effect, thread.inbox, pre, post, pre_trace, post_trace
+            )
 
     def _apply_fault(self, tid: str, verdict: str) -> None:
         """Execute an injected fault as one atomic step of ``tid``."""
@@ -475,6 +508,7 @@ class Runtime:
         ref, value, on_commit = buffer.pop(0)
         if not buffer:
             del self._buffers[tid]
+            self._enabled = None
         want_snapshots = bool(self.monitors)
         pre = self.world.heap.snapshot() if want_snapshots else None
         pre_trace = self.world.trace if want_snapshots else None
@@ -500,138 +534,209 @@ class Runtime:
         buffer = self._buffers.pop(tid, None)
         if not buffer:
             return
+        self._enabled = None
         for ref, value, on_commit in buffer:
             ref.poke(value)
             if on_commit is not None:
                 on_commit(self.world)
             self._count("tso_flush")
 
-    def _read_value(self, tid: str, ref: Ref) -> Any:
-        """The value ``tid`` observes at ``ref``: under TSO the newest
-        matching entry of its own store buffer (store-to-load
-        forwarding), else shared memory."""
-        if self.memory_model == MEMORY_TSO:
-            for buffered_ref, value, _ in reversed(self._buffers.get(tid, ())):
-                if buffered_ref is ref:
-                    return value
-        return ref.peek()
-
+    # ------------------------------------------------------------------
+    # Effect interpretation: one handler per effect type, looked up by
+    # ``type(effect)`` in ``_HANDLERS``.  Each handler tallies its own
+    # counters, in the order ``RunResult.counters`` records them.
+    # ------------------------------------------------------------------
     def _interpret(self, tid: str, effect: Effect) -> Any:
-        if isinstance(effect, Read):
-            self._count("read")
-            value = self._read_value(tid, effect.ref)
-            if effect.on_result is not None:
-                effect.on_result(self.world, value)
-            return value
-        if isinstance(effect, Write):
-            self._count("write")
-            if self.memory_model == MEMORY_TSO:
-                # Enqueue locally; visibility waits for a flush step.
-                self._buffers.setdefault(tid, []).append(
-                    (effect.ref, effect.value, effect.on_commit)
-                )
-                return None
-            effect.ref.poke(effect.value)
-            if effect.on_commit is not None:
-                effect.on_commit(self.world)
+        handler = _HANDLERS.get(type(effect))
+        if handler is None:
+            handler = _inherited_handler(effect)
+        return handler(self, tid, effect)
+
+    def _on_read(self, tid: str, effect: Read) -> Any:
+        counters = self.counters
+        counters["read"] = counters.get("read", 0) + 1
+        value = effect.ref.peek()
+        buffer = self._buffers.get(tid)
+        if buffer:
+            # Store-to-load forwarding (TSO): the newest matching entry
+            # of the thread's own buffer shadows shared memory.
+            for ref, buffered, _ in reversed(buffer):
+                if ref is effect.ref:
+                    value = buffered
+                    break
+        if effect.on_result is not None:
+            effect.on_result(self.world, value)
+        return value
+
+    def _on_write(self, tid: str, effect: Write) -> None:
+        counters = self.counters
+        counters["write"] = counters.get("write", 0) + 1
+        if self._tso:
+            # Enqueue locally; visibility waits for a flush step.
+            entry = (effect.ref, effect.value, effect.on_commit)
+            buffer = self._buffers.get(tid)
+            if buffer:
+                buffer.append(entry)
+            else:
+                # The first buffered write enables the flush pseudo-thread.
+                self._buffers[tid] = [entry]
+                self._enabled = None
             return None
-        if isinstance(effect, CAS):
-            if self.memory_model == MEMORY_TSO:
-                # CAS is a full fence (x86): the issuing thread's buffer
-                # commits before the compare, inside this atomic step.
-                self._drain_buffer(tid)
-            if self._injector is not None and self._injector.on_cas(tid):
-                # Weak-CAS semantics: fail without comparing or writing.
-                self._count("cas_spurious")
-                return False
-            if same_value(effect.ref.peek(), effect.expected):
-                self._count("cas_success")
-                effect.ref.poke(effect.new)
-                if effect.on_success is not None:
-                    effect.on_success(self.world)
-                return True
-            self._count("cas_failure")
+        effect.ref.poke(effect.value)
+        if effect.on_commit is not None:
+            effect.on_commit(self.world)
+        return None
+
+    def _on_cas(self, tid: str, effect: CAS) -> bool:
+        if tid in self._buffers:
+            # CAS is a full fence (x86): the issuing thread's buffer
+            # commits before the compare, inside this atomic step.
+            self._drain_buffer(tid)
+        counters = self.counters
+        if self._injector is not None and self._injector.on_cas(tid):
+            # Weak-CAS semantics: fail without comparing or writing.
+            counters["cas_spurious"] = counters.get("cas_spurious", 0) + 1
             return False
-        if isinstance(effect, Alloc):
-            mode = (
-                self._injector.on_alloc(tid)
-                if self._injector is not None
-                else None
-            )
-            node, reused = self.world.heap.alloc_node(
-                effect.tag, dict(effect.fields), mode=mode
-            )
-            self._count("alloc")
-            if reused:
-                self._count("cell_reuse")
-                if self._trace_sink is not None:
-                    self._trace_sink.emit(
-                        "cell_reuse",
-                        tid=tid,
-                        node=repr(node),
-                        forced=mode is not None,
-                    )
-            return node
-        if isinstance(effect, Free):
-            defer = (
-                self._injector.on_free(tid)
-                if self._injector is not None
-                else False
-            )
-            retired = self.world.heap.retire_node(effect.node, defer=defer)
-            if defer:
-                self._count("free_deferred")
-            elif retired:
-                self._count("free")
-            return None
-        if isinstance(effect, Guard):
-            self.world.heap.pin(tid)
-            self._count("guard")
-            return None
-        if isinstance(effect, Unguard):
-            self.world.heap.unpin(tid)
-            self.world.heap.clear_hazards(tid)
-            self._count("unguard")
-            return None
-        if isinstance(effect, Protect):
-            self.world.heap.protect(tid, effect.slot, effect.node)
-            self._count("protect")
-            return None
-        if isinstance(effect, Pause):
-            self._count("pause")
-            return None
-        if isinstance(effect, Choose):
-            self._count("bookkeeping")
-            return self.scheduler.choose_value(effect.options)
-        if isinstance(effect, Invoke):
-            self._count("bookkeeping")
-            self.world.record_invocation(
-                tid, effect.oid, effect.method, effect.args
-            )
-            return None
-        if isinstance(effect, Respond):
-            self._count("bookkeeping")
-            self.world.record_response(
-                tid, effect.oid, effect.method, effect.value
-            )
-            return None
-        if isinstance(effect, LogTrace):
-            self._count("bookkeeping")
-            self.world.append_trace(effect.elements)
-            return None
-        if isinstance(effect, Query):
-            self._count("bookkeeping")
-            return effect.fn(self.world)
-        if isinstance(effect, AssertNow):
-            if not effect.predicate(self.world):
-                raise AssertionFailed(tid, effect.name, "at its program point")
-            return None
-        if isinstance(effect, AssertStable):
-            if not effect.predicate(self.world):
-                raise AssertionFailed(tid, effect.name, "at registration")
-            self.world.active_assertions[(tid, effect.name)] = effect.predicate
-            return None
-        if isinstance(effect, Retract):
-            self.world.active_assertions.pop((tid, effect.name), None)
-            return None
-        raise SubstrateError(f"unknown effect: {effect!r}")
+        if same_value(effect.ref.peek(), effect.expected):
+            counters["cas_success"] = counters.get("cas_success", 0) + 1
+            effect.ref.poke(effect.new)
+            if effect.on_success is not None:
+                effect.on_success(self.world)
+            return True
+        counters["cas_failure"] = counters.get("cas_failure", 0) + 1
+        return False
+
+    def _on_alloc(self, tid: str, effect: Alloc) -> Any:
+        mode = (
+            self._injector.on_alloc(tid)
+            if self._injector is not None
+            else None
+        )
+        node, reused = self.world.heap.alloc_node(
+            effect.tag, dict(effect.fields), mode=mode
+        )
+        counters = self.counters
+        counters["alloc"] = counters.get("alloc", 0) + 1
+        if reused:
+            counters["cell_reuse"] = counters.get("cell_reuse", 0) + 1
+            if self._trace_sink is not None:
+                self._trace_sink.emit(
+                    "cell_reuse",
+                    tid=tid,
+                    node=repr(node),
+                    forced=mode is not None,
+                )
+        return node
+
+    def _on_free(self, tid: str, effect: Free) -> None:
+        defer = (
+            self._injector.on_free(tid)
+            if self._injector is not None
+            else False
+        )
+        retired = self.world.heap.retire_node(effect.node, defer=defer)
+        counters = self.counters
+        if defer:
+            counters["free_deferred"] = counters.get("free_deferred", 0) + 1
+        elif retired:
+            counters["free"] = counters.get("free", 0) + 1
+        return None
+
+    def _on_guard(self, tid: str, effect: Guard) -> None:
+        self.world.heap.pin(tid)
+        counters = self.counters
+        counters["guard"] = counters.get("guard", 0) + 1
+        return None
+
+    def _on_unguard(self, tid: str, effect: Unguard) -> None:
+        self.world.heap.unpin(tid)
+        self.world.heap.clear_hazards(tid)
+        counters = self.counters
+        counters["unguard"] = counters.get("unguard", 0) + 1
+        return None
+
+    def _on_protect(self, tid: str, effect: Protect) -> None:
+        self.world.heap.protect(tid, effect.slot, effect.node)
+        counters = self.counters
+        counters["protect"] = counters.get("protect", 0) + 1
+        return None
+
+    def _on_pause(self, tid: str, effect: Pause) -> None:
+        counters = self.counters
+        counters["pause"] = counters.get("pause", 0) + 1
+        return None
+
+    def _on_choose(self, tid: str, effect: Choose) -> Any:
+        counters = self.counters
+        counters["bookkeeping"] = counters.get("bookkeeping", 0) + 1
+        return self.scheduler.choose_value(effect.options)
+
+    def _on_invoke(self, tid: str, effect: Invoke) -> None:
+        counters = self.counters
+        counters["bookkeeping"] = counters.get("bookkeeping", 0) + 1
+        self.world.record_invocation(tid, effect.oid, effect.method, effect.args)
+        return None
+
+    def _on_respond(self, tid: str, effect: Respond) -> None:
+        counters = self.counters
+        counters["bookkeeping"] = counters.get("bookkeeping", 0) + 1
+        self.world.record_response(tid, effect.oid, effect.method, effect.value)
+        return None
+
+    def _on_log_trace(self, tid: str, effect: LogTrace) -> None:
+        counters = self.counters
+        counters["bookkeeping"] = counters.get("bookkeeping", 0) + 1
+        self.world.append_trace(effect.elements)
+        return None
+
+    def _on_query(self, tid: str, effect: Query) -> Any:
+        counters = self.counters
+        counters["bookkeeping"] = counters.get("bookkeeping", 0) + 1
+        return effect.fn(self.world)
+
+    def _on_assert_now(self, tid: str, effect: AssertNow) -> None:
+        if not effect.predicate(self.world):
+            raise AssertionFailed(tid, effect.name, "at its program point")
+        return None
+
+    def _on_assert_stable(self, tid: str, effect: AssertStable) -> None:
+        if not effect.predicate(self.world):
+            raise AssertionFailed(tid, effect.name, "at registration")
+        self.world.active_assertions[(tid, effect.name)] = effect.predicate
+        return None
+
+    def _on_retract(self, tid: str, effect: Retract) -> None:
+        self.world.active_assertions.pop((tid, effect.name), None)
+        return None
+
+
+#: Effect type -> its handler.  A new effect type needs an entry here;
+#: a subclass of a listed type is interpreted as its nearest listed base.
+_HANDLERS: Dict[type, Callable[[Runtime, str, Any], Any]] = {
+    Read: Runtime._on_read,
+    Write: Runtime._on_write,
+    CAS: Runtime._on_cas,
+    Alloc: Runtime._on_alloc,
+    Free: Runtime._on_free,
+    Guard: Runtime._on_guard,
+    Unguard: Runtime._on_unguard,
+    Protect: Runtime._on_protect,
+    Pause: Runtime._on_pause,
+    Choose: Runtime._on_choose,
+    Invoke: Runtime._on_invoke,
+    Respond: Runtime._on_respond,
+    LogTrace: Runtime._on_log_trace,
+    Query: Runtime._on_query,
+    AssertNow: Runtime._on_assert_now,
+    AssertStable: Runtime._on_assert_stable,
+    Retract: Runtime._on_retract,
+}
+
+
+def _inherited_handler(effect: Effect) -> Callable[[Runtime, str, Any], Any]:
+    """The handler of the nearest listed base in ``type(effect).__mro__``."""
+    for base in type(effect).__mro__:
+        handler = _HANDLERS.get(base)
+        if handler is not None:
+            return handler
+    raise SubstrateError(f"unknown effect: {effect!r}")

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from typing import Any, List, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 #: Prefix marking a store-buffer flush pseudo-thread id.
 FLUSH_PREFIX = "~flush:"
@@ -110,7 +110,7 @@ class RandomScheduler(Scheduler):
             and self._rng.random() < self._bias
         ):
             choice = self._last
-            index = list(enabled).index(choice)
+            index = enabled.index(choice)
         else:
             # randrange draws from the same underlying stream as the
             # former ``choice(list(enabled))``, keeping seeded decision
@@ -132,18 +132,18 @@ class RandomScheduler(Scheduler):
         return [chosen for _, chosen in self.log]
 
 
-class PrefixRandomScheduler(Scheduler):
+class PrefixRandomScheduler(RandomScheduler):
     """Replay a (possibly mutated) prefix, then continue seeded-random.
 
     The greybox engine (:mod:`repro.search.greybox`) proposes mutated
     schedule prefixes whose entries may no longer match the decision
     arities they land on; prefix entries are therefore always wrapped
     modulo the arity, like ``ReplayScheduler(clamp=True)``.  Beyond the
-    prefix the scheduler behaves exactly like :class:`RandomScheduler`
-    (same stream, same ``yield_bias`` persistence), and every decision —
-    replayed or drawn — is logged as ``(arity, index)``, so the full run
-    replays through :class:`ReplayScheduler` and shrinks like any other
-    recorded schedule.
+    prefix the scheduler *is* a :class:`RandomScheduler` (same stream,
+    same ``yield_bias`` persistence), and every decision — replayed or
+    drawn — is logged as ``(arity, index)``, so the full run replays
+    through :class:`ReplayScheduler` and shrinks like any other recorded
+    schedule.
     """
 
     def __init__(
@@ -152,48 +152,31 @@ class PrefixRandomScheduler(Scheduler):
         seed: int = 0,
         yield_bias: float = 0.0,
     ) -> None:
+        super().__init__(seed, yield_bias)
         self._prefix: Tuple[int, ...] = tuple(prefix)
-        self._rng = random.Random(seed)
-        self._bias = yield_bias
-        self._last: str | None = None
-        self.log: List[Tuple[int, int]] = []
+
+    def _replayed(self, arity: int) -> Optional[int]:
+        """The prefix entry for the next decision, wrapped into
+        ``[0, arity)`` and logged; ``None`` once the prefix is spent."""
+        position = len(self.log)
+        if position >= len(self._prefix):
+            return None
+        index = self._prefix[position] % arity
+        self.log.append((arity, index))
+        return index
 
     def choose_thread(self, enabled: Sequence[str]) -> str:
-        position = len(self.log)
-        if position < len(self._prefix):
-            index = self._prefix[position] % len(enabled)
-            choice = enabled[index]
-            self._last = choice
-            self.log.append((len(enabled), index))
-            return choice
-        if self._last is not None and self._last not in enabled:
-            self._last = None
-        if (
-            self._bias > 0.0
-            and self._last is not None
-            and self._rng.random() < self._bias
-        ):
-            choice = self._last
-            index = list(enabled).index(choice)
-        else:
-            index = self._rng.randrange(len(enabled))
-            choice = enabled[index]
-        self._last = choice
-        self.log.append((len(enabled), index))
-        return choice
+        index = self._replayed(len(enabled))
+        if index is None:
+            return super().choose_thread(enabled)
+        self._last = enabled[index]
+        return self._last
 
     def choose_value(self, options: Sequence[Any]) -> Any:
-        position = len(self.log)
-        if position < len(self._prefix):
-            index = self._prefix[position] % len(options)
-        else:
-            index = self._rng.randrange(len(options))
-        self.log.append((len(options), index))
+        index = self._replayed(len(options))
+        if index is None:
+            return super().choose_value(options)
         return options[index]
-
-    def choices(self) -> List[int]:
-        """The decision indices actually taken in this run."""
-        return [chosen for _, chosen in self.log]
 
 
 class ReplayScheduler(Scheduler):
