@@ -127,6 +127,15 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def bit_masks(mask: int) -> Iterator[int]:
+    """The set bits of ``mask`` as single-bit masks, ascending — the
+    singleton candidates of a frontier."""
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
+
+
 @dataclass(frozen=True)
 class SearchProblem:
     """Precomputed precedence structure of a complete history.

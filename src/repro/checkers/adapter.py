@@ -10,7 +10,9 @@ Consequences (validated by experiment E7):
 
 * classic linearizability w.r.t. ``S`` ⇔ CAL w.r.t. ``SingletonAdapter(S)``;
 * the CAL checker and the Wing–Gong checker agree on every history of a
-  non-CA object.
+  non-CA object — by construction, since
+  :class:`~repro.checkers.linearizability.LinearizabilityChecker` is the
+  CAL search over single-operation candidates.
 """
 
 from __future__ import annotations

@@ -14,6 +14,11 @@ concerned; the spec's ``step`` decides which subsets are semantically
 admissible.  Memoization on (emitted-set, spec-state) keeps the search
 polynomial in practice for the small widths that matter.
 
+This is the only agreement search in the package: classic
+linearizability is the same search over singleton elements (§3), and
+:class:`~repro.checkers.linearizability.LinearizabilityChecker` only
+overrides the element shape — see :class:`CALChecker`.
+
 :meth:`CALChecker.check_witness` validates a *recorded* trace (the
 auxiliary variable ``T`` of §4, projected/viewed for the object) instead
 of searching: the instrumentation's witness must (a) be in the spec and
@@ -26,7 +31,17 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from typing import Dict, Hashable, List, Optional, Set, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Hashable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.checkers.caspec import CASpec
 from repro.checkers.result import CheckResult, SearchBudget, Verdict
@@ -40,7 +55,7 @@ from repro.checkers._search import (
 from repro.core.actions import Invocation, Operation
 from repro.core.agreement import agrees
 from repro.core.catrace import CAElement, CATrace
-from repro.core.history import History
+from repro.core.history import History, OperationSpan
 from repro.substrate.errors import BudgetExceeded
 
 
@@ -86,7 +101,24 @@ def complete_from_witness(history: History, trace: CATrace) -> History:
 
 
 class CALChecker:
-    """Decides ``H`` CAL w.r.t. a CA-spec (Def. 6)."""
+    """Decides ``H`` CAL w.r.t. a CA-spec (Def. 6).
+
+    The search, its budgets and its instrumentation are shared with
+    :class:`~repro.checkers.linearizability.LinearizabilityChecker`,
+    which is this search over singleton elements (§3).  The two differ
+    only in the class attributes below, the two search hooks
+    :meth:`_transition` (how a candidate advances the spec) and
+    :meth:`_witness` (how the path becomes a CA-trace), and
+    :meth:`_trace_problem` (when a recorded trace is in the spec).
+    """
+
+    #: Prefix of the counters, trace events and profiler buckets.
+    _name = "cal"
+    #: Reason of a definitive FAIL: no completion has an agreeing trace.
+    _not_found = "no agreeing CA-trace found"
+    #: Candidate elements of a frontier, as submasks: every non-empty
+    #: subset, smallest first.
+    _candidates = staticmethod(subset_masks)
 
     def __init__(self, spec: CASpec) -> None:
         self.spec = spec
@@ -116,22 +148,23 @@ class CALChecker:
         if trace is not None:
             trace.emit(
                 "check_begin",
-                checker="cal",
+                checker=self._name,
                 oid=self.spec.oid,
                 actions=len(history),
             )
         result = self._check_impl(history, project, node_budget, deadline, metrics, trace)
         if metrics is not None:
-            metrics.count("cal.checks")
+            name = self._name
+            metrics.count(f"{name}.checks")
             if result.unknown:
-                metrics.count("cal.unknown")
+                metrics.count(f"{name}.unknown")
             elif not result.ok:
-                metrics.count("cal.failures")
-            metrics.add_time("cal.check_s", time.perf_counter() - started)
+                metrics.count(f"{name}.failures")
+            metrics.add_time(f"{name}.check_s", time.perf_counter() - started)
         if trace is not None:
             trace.emit(
                 "check_end",
-                checker="cal",
+                checker=self._name,
                 oid=self.spec.oid,
                 verdict=result.verdict.value,
                 nodes=result.nodes,
@@ -151,14 +184,14 @@ class CALChecker:
         target = history.project_object(self.spec.oid) if project else history
         if not target.is_well_formed():
             return CheckResult(False, reason="ill-formed history")
-        if any(action.oid != self.spec.oid for action in target):
+        if not project and any(action.oid != self.spec.oid for action in target):
             # Def. 5: a CA-trace of this object can only explain this
-            # object's operations.
+            # object's operations (a projection holds no others).
             return CheckResult(
                 False, reason="history contains other objects' operations"
             )
         budget = SearchBudget(node_budget=node_budget, deadline=deadline)
-        best = CheckResult(False, reason="no agreeing CA-trace found")
+        best = CheckResult(False, reason=self._not_found)
         candidates = lambda inv: self.spec.response_candidates_in(inv, target)
         # Structural-cache counters are deliberately *per-call*: a repeat
         # shape within one check is a guaranteed cache hit and a pure
@@ -167,14 +200,15 @@ class CALChecker:
         # repro.checkers._search.mask_cache_stats for that diagnostic).
         shapes: Set[Tuple[Tuple[int, int], ...]] = set()
         if metrics is not None:
+            completions = f"{self._name}.completions"
             begin_check = getattr(metrics, "begin_check", None)
             if begin_check is not None:
-                begin_check("cal", self.spec.oid)
+                begin_check(self._name, self.spec.oid)
             enter_completion = getattr(metrics, "enter_completion", None)
         try:
             for completion in target.completions(candidates):
                 if metrics is not None:
-                    metrics.count("cal.completions")
+                    metrics.count(completions)
                     shape = structural_key(completion.spans())
                     if shape in shapes:
                         metrics.count("search.structural_cache_hits")
@@ -194,7 +228,7 @@ class CALChecker:
             if trace is not None:
                 trace.emit(
                     "budget_trip",
-                    checker="cal",
+                    checker=self._name,
                     reason=str(exceeded),
                     nodes=budget.nodes,
                 )
@@ -207,6 +241,24 @@ class CALChecker:
         return best
 
     # ------------------------------------------------------------------
+    def _transition(
+        self, spans: Sequence[OperationSpan]
+    ) -> Tuple[Callable, Callable]:
+        """``(label, step)`` for a search over ``spans``: ``label(subset)``
+        is the CA-element of the operations in ``subset`` (a mask), and
+        ``step(state, label)`` the spec successor, or None on rejection."""
+        oid = self.spec.oid
+
+        def label(subset: int) -> CAElement:
+            ops = [spans[i].operation for i in iter_bits(subset)]
+            return CAElement(oid, ops)  # type: ignore[arg-type]
+
+        return label, self.spec.step
+
+    def _witness(self, labels: List[Any]) -> CATrace:
+        """The witness of a successful search from its path's labels."""
+        return CATrace(labels)
+
     def _check_complete(
         self,
         history: History,
@@ -218,7 +270,9 @@ class CALChecker:
         Taken-sets are int bitmasks; spec states are interned to small
         ids so memo keys are ``(int, int)`` pairs; frontiers update
         incrementally through the problem's successor masks; candidate
-        CA-elements come from the lazy popcount-ordered subset stream.
+        subsets come lazily from :attr:`_candidates` and advance the spec
+        through :meth:`_transition`; :meth:`_witness` assembles the
+        witness from the labels along the DFS path.
 
         Search statistics are kept as local ints (the metrics-off path
         pays only the increments) and flushed once on every exit —
@@ -226,12 +280,11 @@ class CALChecker:
         """
         problem = SearchProblem.of(history, validate=False)
         full = problem.full_mask
-        spans = problem.spans
-        oid = self.spec.oid
-        step = self.spec.step
+        label_of, step = self._transition(problem.spans)
+        moves = self._candidates
         seen: Set[Tuple[int, int]] = set()
         state_ids: Dict[Hashable, int] = {}
-        elements: List[CAElement] = []
+        path: List[Any] = []
         nodes = 1
         memo_hits = memo_misses = cand_tried = rejections = 0
         frames = 1
@@ -251,31 +304,30 @@ class CALChecker:
         width = root_frontier.bit_count()
         frontier_sum += width
         frontier_max = width
-        # Frame: (taken, frontier, state, pending-subset iterator).  The
-        # CA-element chosen to reach a frame sits in ``elements`` at the
-        # frame's depth − 1; popping a non-root frame pops it.
-        stack = [(0, root_frontier, initial, subset_masks(root_frontier))]
+        # Frame: (taken, frontier, state, pending-candidate iterator).  The
+        # label taken to reach a frame sits in ``path`` at the frame's
+        # depth − 1; popping a non-root frame pops it.
+        stack = [(0, root_frontier, initial, moves(root_frontier))]
         try:
             while stack:
                 taken, frontier, state, candidates = stack[-1]
                 pushed = False
                 for subset in candidates:
                     cand_tried += 1
-                    ops = [spans[i].operation for i in iter_bits(subset)]
-                    element = CAElement(oid, ops)  # type: ignore[arg-type]
-                    successor = step(state, element)
+                    label = label_of(subset)
+                    successor = step(state, label)
                     if successor is None:
                         rejections += 1
                         continue
                     nodes += 1
                     if budget is not None:
                         budget.charge()
-                    elements.append(element)
+                    path.append(label)
                     new_taken = taken | subset
                     if new_taken == full:
                         return CheckResult(
                             True,
-                            witness=CATrace(list(elements)),
+                            witness=self._witness(path),
                             completion=history,
                             nodes=nodes,
                         )
@@ -283,7 +335,7 @@ class CALChecker:
                     key = (new_taken, state_id)
                     if key in seen:
                         memo_hits += 1
-                        elements.pop()
+                        path.pop()
                         continue
                     memo_misses += 1
                     seen.add(key)
@@ -294,17 +346,15 @@ class CALChecker:
                     if width > frontier_max:
                         frontier_max = width
                     stack.append(
-                        (new_taken, new_frontier, successor, subset_masks(new_frontier))
+                        (new_taken, new_frontier, successor, moves(new_frontier))
                     )
                     pushed = True
                     break
                 if not pushed:
                     stack.pop()
                     if stack:
-                        elements.pop()
-            return CheckResult(
-                False, reason="no agreeing CA-trace found", nodes=nodes
-            )
+                        path.pop()
+            return CheckResult(False, reason=self._not_found, nodes=nodes)
         finally:
             if metrics is not None:
                 flush_search_tallies(
@@ -340,10 +390,16 @@ class CALChecker:
         """
         result = self._check_witness_impl(history, trace, project)
         if metrics is not None:
-            metrics.count("cal.witness_checks")
+            metrics.count(f"{self._name}.witness_checks")
             if not result.ok:
-                metrics.count("cal.witness_failures")
+                metrics.count(f"{self._name}.witness_failures")
         return result
+
+    def _trace_problem(self, trace: CATrace) -> Optional[str]:
+        """Why ``trace`` is not in the spec, or None when it is."""
+        if not self.spec.accepts(trace):
+            return "witness not in specification"
+        return None
 
     def _check_witness_impl(
         self, history: History, trace: CATrace, project: bool
@@ -351,14 +407,15 @@ class CALChecker:
         target = history.project_object(self.spec.oid) if project else history
         if not target.is_well_formed():
             return CheckResult(False, reason="ill-formed history")
+        problem = self._trace_problem(trace)
+        if problem is not None:
+            return CheckResult(False, reason=problem)
         if not target.is_complete():
             target = complete_from_witness(target, trace)
         if not target.is_complete():  # pragma: no cover — defensive
             return CheckResult(
                 False, reason="witness validation needs a complete history"
             )
-        if not self.spec.accepts(trace):
-            return CheckResult(False, reason="witness not in specification")
         if not agrees(target, trace):
             return CheckResult(
                 False, reason="history does not agree with witness (Def. 5)"

@@ -41,7 +41,7 @@ stateless; only the drivers build memos, one per campaign call.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Hashable, Optional
+from typing import Any, Callable, Dict, Hashable
 
 from repro.checkers.cal import CALChecker
 from repro.checkers.linearizability import LinearizabilityChecker
@@ -63,12 +63,12 @@ def _fresh(value: Any) -> Any:
 
 
 class DecisionMemo:
-    """Mixin memoizing a checker's decision hooks for one campaign.
+    """Mixin memoizing a checker's two decision hooks for one campaign:
+    the search ``_check_impl`` and the witness check
+    ``_check_witness_impl``, which both checker families share.
 
     Combine it ahead of a checker class; :class:`MemoCALChecker` and
     :class:`MemoLinearizabilityChecker` are the two the drivers use.
-    The search hook ``_check_impl`` is memoized here, the witness hooks
-    in the subclasses.
     """
 
     def __init__(self, spec) -> None:
@@ -84,6 +84,14 @@ class DecisionMemo:
                 target, False, node_budget, deadline, registry, trace
             ),
             metrics,
+        )
+
+    def _check_witness_impl(self, history, trace, project):
+        target = history.project_object(self.spec.oid) if project else history
+        validate = super()._check_witness_impl  # type: ignore[misc]
+        return self._decide(
+            lambda: ("witness", target.content_key(), trace.content_key()),
+            lambda _registry: validate(target, trace, False),
         )
 
     def _decide(
@@ -130,26 +138,10 @@ class MemoCALChecker(DecisionMemo, CALChecker):
     """:class:`CALChecker` deciding each distinct (projected) history and
     each distinct history/witness pair once."""
 
-    def _check_witness_impl(self, history, trace, project):
-        target = history.project_object(self.spec.oid) if project else history
-        validate = super()._check_witness_impl
-        return self._decide(
-            lambda: ("witness", target.content_key(), trace.content_key()),
-            lambda _registry: validate(target, trace, False),
-        )
-
 
 class MemoLinearizabilityChecker(DecisionMemo, LinearizabilityChecker):
     """:class:`LinearizabilityChecker` deciding each distinct (projected)
     history and each distinct history/singleton-witness pair once."""
-
-    def _witness_problem(self, history, witness) -> Optional[str]:
-        target = history.project_object(self.spec.oid)
-        validate = super()._witness_problem
-        return self._decide(
-            lambda: ("witness", target.content_key(), witness.content_key()),
-            lambda _registry: validate(target, witness),
-        )
 
 
 __all__ = ["DecisionMemo", "MemoCALChecker", "MemoLinearizabilityChecker"]

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.checkers.caspec import CASpec
-from repro.checkers.linearizability import LinearizabilityChecker
 from repro.checkers.memo import MemoCALChecker, MemoLinearizabilityChecker
 from repro.checkers.result import Verdict
 from repro.checkers.seqspec import SequentialSpec
@@ -253,8 +252,9 @@ class CheckPolicy:
         """
         if self.family == "cal":
             result = self.checker.check_witness(history, witness, metrics=metrics)
-            return (None if result.ok else result.reason), result.nodes
-        return _validate_singleton_witness(self.checker, history, witness), 0
+        else:
+            result = self.checker._check_witness_impl(history, witness, True)
+        return (None if result.ok else result.reason), result.nodes
 
 
 def _record_failure(
@@ -483,17 +483,3 @@ def _verify(
         )
     return report
 
-
-def _validate_singleton_witness(
-    checker: LinearizabilityChecker,
-    history: History,
-    witness: CATrace,
-) -> Optional[str]:
-    """Check a recorded singleton trace is a valid linearization witness.
-
-    Pending invocations (crashed threads) are resolved against the
-    witness first, exactly as in CAL witness validation.  Returns the
-    problem, or None; a driver's decision memo
-    (:mod:`repro.checkers.memo`) answers a repeated pair from its cache.
-    """
-    return checker._witness_problem(history, witness)

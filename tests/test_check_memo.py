@@ -26,7 +26,7 @@ from repro.checkers.cal import CALChecker
 from repro.checkers.linearizability import LinearizabilityChecker
 from repro.checkers.memo import MemoCALChecker, MemoLinearizabilityChecker
 from repro.checkers.seqspec import SequentialSpec
-from repro.checkers.verify import _validate_singleton_witness, verify_cal
+from repro.checkers.verify import verify_cal
 from repro.core.actions import Invocation, Response
 from repro.core.history import History
 from repro.obs import CoverageTracker, ExplorationLedger, SearchProfiler, TraceSink
@@ -122,7 +122,7 @@ class _Side:
         ]
         if witness is not None:
             out.append(cal.check_witness(history, witness, metrics=self.metrics))
-            out.append(_validate_singleton_witness(lin, history, witness))
+            out.append(lin._check_witness_impl(history, witness, True))
         return out
 
 

@@ -10,11 +10,13 @@ from repro.checkers import (
     SingletonAdapter,
 )
 from repro.core.catrace import (
+    CAElement,
     CATrace,
     failed_exchange_element,
     swap_element,
 )
 from repro.core.history import History
+from repro.obs import Metrics
 from repro.specs import ExchangerSpec, QueueSpec, RegisterSpec, StackSpec
 
 from tests.helpers import inv, op, overlapped_history, res, seq_history
@@ -118,6 +120,51 @@ class TestLinearizabilityChecker:
         history = overlapped_history(push, pop)
         assert checker.check_order(history, [push, pop])
         assert not checker.check_order(history, [pop, push])
+
+    def test_check_witness_validates_singleton_witnesses(self):
+        checker = LinearizabilityChecker(StackSpec("S"))
+        push = op("t1", "S", "push", (1,), (True,))
+        pop = op("t2", "S", "pop", (), (True, 1))
+        history = overlapped_history(push, pop)
+        metrics = Metrics()
+        good = CATrace([CAElement("S", [push]), CAElement("S", [pop])])
+        result = checker.check_witness(history, good, metrics=metrics)
+        assert result.ok and result.nodes == 0
+        assert result.witness == good and result.completion == history
+        cases = [
+            (CATrace([CAElement("S", [push, pop])]),
+             "witness contains non-singleton elements"),
+            (CATrace([CAElement("S", [pop]), CAElement("S", [push])]),
+             "witness rejected by sequential spec"),
+            (CATrace([CAElement("S", [push])]),
+             "history does not agree with witness (Def. 5)"),
+        ]
+        for witness, reason in cases:
+            result = checker.check_witness(history, witness, metrics=metrics)
+            assert not result.ok and result.reason == reason
+        assert metrics.counters == {
+            "lin.witness_checks": 4,
+            "lin.witness_failures": 3,
+        }
+
+    def test_check_witness_resolves_pending_invocations(self):
+        checker = LinearizabilityChecker(StackSpec("S"))
+        history = History(
+            [
+                inv("t1", "S", "push", 1),  # pending: the witness completes it
+                inv("t2", "S", "pop"),
+                res("t2", "S", "pop", True, 1),
+                inv("t3", "S", "push", 2),  # pending: the witness drops it
+            ]
+        )
+        push = op("t1", "S", "push", (1,), (True,))
+        pop = op("t2", "S", "pop", (), (True, 1))
+        result = checker.check_witness(
+            history, CATrace([CAElement("S", [push]), CAElement("S", [pop])])
+        )
+        assert result.ok
+        assert result.completion is not None
+        assert result.completion.operations() == [push, pop]
 
 
 class TestCALChecker:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.checkers import CALChecker, LinearizabilityChecker
+from repro.checkers import CALChecker, LinearizabilityChecker, SingletonAdapter
 from repro.checkers.result import CheckResult
 from repro.core.actions import Invocation, Operation, Response
 from repro.core.catrace import CATrace, failed_exchange_element
@@ -98,6 +98,19 @@ class TestCheckerEdges:
         result = checker.check(bad)
         assert not result.ok
         assert "ill-formed" in result.reason
+        # Witness validation answers FAIL too, for both checker families.
+        witness = checker.check_witness(bad, CATrace())
+        assert not witness.ok
+        assert witness.reason == "ill-formed history"
+        nested = History([inv("t1", "R", "read"), inv("t1", "R", "read")])
+        lin = LinearizabilityChecker(RegisterSpec("R"))
+        for result in (
+            lin.check(nested),
+            lin.check_witness(nested, CATrace()),
+            lin._check_witness_impl(nested, CATrace(), True),
+        ):
+            assert not result.ok
+            assert result.reason == "ill-formed history"
 
     def test_empty_history_is_trivially_ok(self):
         assert CALChecker(ExchangerSpec("E")).check(History()).ok
@@ -112,6 +125,23 @@ class TestCheckerEdges:
         assert checker.check(other_object, project=True).ok
         # ... without projection the spec rejects the foreign element.
         assert not checker.check(other_object, project=False).ok
+        # An R2 write cannot explain an R read: without projection the
+        # classic checker rejects the raw history, exactly as CAL over
+        # singleton elements does (§3).
+        history = seq_history(
+            op("t1", "R2", "write", (1,), (None,)),
+            op("t2", "R", "read", (), (1,)),
+        )
+        classic = LinearizabilityChecker(RegisterSpec("R"))
+        singleton_cal = CALChecker(SingletonAdapter(RegisterSpec("R")))
+        reason = "history contains other objects' operations"
+        for checker in (classic, singleton_cal):
+            result = checker.check(history, project=False)
+            assert not result.ok
+            assert result.reason == reason
+        # Projected, the read of 1 has no write to explain it.
+        assert not classic.check(history).ok
+        assert classic.check(history).reason == "no linearization found"
 
     def test_check_witness_resolves_pending_against_witness(self):
         # A pending invocation the witness knows nothing about never took

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.checkers import CALChecker, LinearizabilityChecker, SingletonAdapter
+from repro.core.actions import Invocation, Response
 from repro.core.agreement import agrees
 from repro.core.catrace import (
     CAElement,
@@ -18,7 +19,8 @@ from repro.core.catrace import (
 )
 from repro.core.history import History
 from repro.core.objectsystem import is_prefix_closed, prefix_closure
-from repro.specs import ExchangerSpec, RegisterSpec, StackSpec
+from repro.specs import ExchangerSpec, QueueSpec, RegisterSpec, StackSpec
+from repro.workloads.synthetic import corrupted
 
 from tests.helpers import op
 
@@ -153,6 +155,88 @@ def test_value_corruption_rejected_by_both_checkers(ops):
     classic = LinearizabilityChecker(StackSpec("S"))
     cal = CALChecker(SingletonAdapter(StackSpec("S")))
     assert classic.check(history).ok == cal.check(history).ok == False  # noqa: E712
+
+
+@st.composite
+def concurrent_histories(draw):
+    """(sequential spec, history): a random concurrent register, queue or
+    stack history, produced by running the sequential object under a
+    random interleaving of invocations, linearization points and
+    responses.  Some are cut short (pending invocations), some have a
+    corrupted response value."""
+    kind = draw(st.sampled_from(["register", "queue", "stack"]))
+    spec, writer, reader = {
+        "register": (RegisterSpec("R"), "write", "read"),
+        "queue": (QueueSpec("Q"), "enqueue", "dequeue"),
+        "stack": (StackSpec("S"), "push", "pop"),
+    }[kind]
+    oid = spec.oid
+    contents = []  # register: the last write; queue/stack: the values
+    idle = list(THREADS[:3])
+    invoked, linearized, actions = [], [], []
+    operations = draw(st.integers(1, 7))
+    while True:
+        moves = []
+        if operations and idle:
+            moves.append("invoke")
+        if invoked:
+            moves.append("linearize")
+        if linearized:
+            moves.append("respond")
+        if not moves:
+            break
+        move = draw(st.sampled_from(moves))
+        if move == "invoke":
+            operations -= 1
+            tid = idle.pop(draw(st.integers(0, len(idle) - 1)))
+            if draw(st.booleans()):
+                method, args = writer, (draw(st.integers(0, 3)),)
+            else:
+                method, args = reader, ()
+            invoked.append((tid, method, args))
+            actions.append(Invocation(tid, oid, method, args))
+        elif move == "linearize":
+            tid, method, args = invoked.pop(draw(st.integers(0, len(invoked) - 1)))
+            if method == writer:
+                if kind == "register":
+                    contents[:] = [args[0]]
+                    value = (None,)
+                else:
+                    contents.append(args[0])
+                    value = (True,)
+            elif kind == "register":
+                value = (contents[-1] if contents else 0,)
+            elif not contents:
+                value = (False, 0)
+            else:
+                value = (True, contents.pop(0 if kind == "queue" else -1))
+            linearized.append((tid, method, value))
+        else:
+            tid, method, value = linearized.pop(
+                draw(st.integers(0, len(linearized) - 1))
+            )
+            actions.append(Response(tid, oid, method, value))
+            idle.append(tid)
+    history = History(actions)
+    if draw(st.booleans()):
+        history = History(actions[: draw(st.integers(0, len(actions)))])
+    if history.operations() and draw(st.booleans()):
+        history = corrupted(history, oid)
+    return spec, history
+
+
+@given(concurrent_histories(), st.sampled_from([None, 1, 2, 5]))
+@settings(max_examples=300, deadline=None)
+def test_linearizability_is_cal_over_singletons_node_for_node(case, node_budget):
+    """§3: classic linearizability w.r.t. S is CAL w.r.t. the singleton
+    CA-spec of S — same verdict, same search nodes, same witness."""
+    spec, history = case
+    classic = LinearizabilityChecker(spec).check(history, node_budget=node_budget)
+    cal = CALChecker(SingletonAdapter(spec)).check(history, node_budget=node_budget)
+    assert classic.verdict == cal.verdict
+    assert classic.nodes == cal.nodes
+    assert classic.witness == cal.witness
+    assert classic.completion == cal.completion
 
 
 # ----------------------------------------------------------------------
