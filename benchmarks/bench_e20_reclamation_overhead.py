@@ -15,8 +15,7 @@ Runs two ways:
   — overhead assertions plus pytest-benchmark records;
 * standalone (``python benchmarks/bench_e20_reclamation_overhead.py
   --quick --json out.json``) — the CI smoke mode: a table on stdout,
-  machine-readable JSON (consumed by ``append_trajectory.py``),
-  non-zero exit if a bar is missed.
+  machine-readable JSON, non-zero exit if a bar is missed.
 """
 
 from __future__ import annotations

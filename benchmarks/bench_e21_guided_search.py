@@ -35,8 +35,7 @@ Runs two ways:
   assertions plus pytest-benchmark records;
 * standalone (``python benchmarks/bench_e21_guided_search.py --quick
   --json out.json``) — the CI smoke mode: a table on stdout,
-  machine-readable JSON (consumed by ``append_trajectory.py``),
-  non-zero exit if a bar is missed.
+  machine-readable JSON, non-zero exit if a bar is missed.
 """
 
 from __future__ import annotations

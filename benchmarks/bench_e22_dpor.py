@@ -13,7 +13,7 @@ Reported numbers:
 
 * per workload — unreduced / sleep-set / dpor schedule counts and the
   wall-clock of each sweep;
-* ``dpor_reduction`` (headline, trended) — unreduced-to-dpor shrink
+* ``dpor_reduction`` (headline, gated) — unreduced-to-dpor shrink
   factor on the TSO treiber workload, where both the baseline blow-up
   and the dpor advantage over sleep sets are visible (observed ≈ 300×,
   vs ≈ 150× for sleep sets on the same workload);
@@ -26,8 +26,7 @@ Runs two ways:
   plus pytest-benchmark records;
 * standalone (``python benchmarks/bench_e22_dpor.py --quick --json
   out.json``) — the CI smoke mode: a table on stdout, machine-readable
-  JSON (consumed by ``append_trajectory.py``), non-zero exit if a bar
-  is missed.
+  JSON, non-zero exit if a bar is missed.
 """
 
 from __future__ import annotations
@@ -55,7 +54,7 @@ REDUCTION_BAR = 50.0
 #: least this factor.  Observed 2.0× (112 → 56).
 VS_SLEEP_SET_BAR = 1.5
 
-#: The workload whose factors are trended.
+#: The workload whose factors the two bars gate.
 HEADLINE = "treiber-gc-tso"
 
 

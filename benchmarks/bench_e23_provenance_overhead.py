@@ -13,7 +13,7 @@ Reported numbers:
 
 * per workload — schedule counts and off/on wall-clock for the
   sleep-set and dpor sweeps, plus the reconciliation verdict;
-* ``provenance_overhead`` (headline, trended) — the aggregate
+* ``provenance_overhead`` (headline, gated) — the aggregate
   enabled-to-disabled wall-clock ratio (total on-time over total
   off-time across all sweeps) minus 1, so 0.04 means recording costs
   4%.  Aggregate rather than a per-sweep median: the shortest sweeps
@@ -25,8 +25,7 @@ Runs two ways:
   — assertions plus pytest-benchmark records;
 * standalone (``python benchmarks/bench_e23_provenance_overhead.py
   --quick --json out.json``) — the CI smoke mode: a table on stdout,
-  machine-readable JSON (consumed by ``append_trajectory.py``),
-  non-zero exit if a bar is missed.
+  machine-readable JSON, non-zero exit if a bar is missed.
 """
 
 from __future__ import annotations

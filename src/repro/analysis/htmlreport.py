@@ -409,132 +409,6 @@ def render_flight_recorder(
     )
 
 
-#: Trajectory metrics :func:`render_trend_html` charts when present.
-TREND_SERIES = (
-    ("aggregate_speedup", "aggregate speedup"),
-    ("overhead", "observability overhead"),
-    ("checkpoint_overhead", "checkpoint overhead"),
-    ("reclamation_overhead", "reclamation overhead"),
-    ("tso_overhead", "TSO overhead"),
-    ("guided_speedup", "guided-search speedup (runs-to-bug ratio)"),
-    ("sleep_set_reduction", "sleep-set schedule reduction"),
-    ("dpor_reduction", "DPOR schedule reduction"),
-    ("provenance_overhead", "provenance ledger overhead"),
-)
-
-
-def _trend_svg(
-    points: Sequence[Sequence[float]],
-    label: str,
-    width: int = 640,
-    height: int = 180,
-) -> str:
-    """One metric's trajectory (entry index → value) as inline SVG."""
-    pad = 34
-    xs = [x for x, _ in points]
-    ys = [y for _, y in points]
-    x_max = max(xs) or 1
-    y_lo, y_hi = min(ys + [0.0]), max(ys + [0.0])
-    y_span = (y_hi - y_lo) or 1.0
-    inner_w, inner_h = width - 2 * pad, height - 2 * pad
-
-    def px(x: float) -> float:
-        return pad + (x / x_max) * inner_w if x_max else pad
-
-    def py(y: float) -> float:
-        return height - pad - ((y - y_lo) / y_span) * inner_h
-
-    coords = " ".join(f"{px(x):.1f},{py(y):.1f}" for x, y in points)
-    dots = "".join(
-        f"<circle cx='{px(x):.1f}' cy='{py(y):.1f}' r='3' fill='#2563eb'/>"
-        for x, y in points
-    )
-    return (
-        f"<svg viewBox='0 0 {width} {height}' width='{width}' "
-        f"height='{height}' role='img' aria-label='{_esc(label)} trend'>"
-        f"<line x1='{pad}' y1='{height - pad}' x2='{width - pad}' "
-        f"y2='{height - pad}' stroke='#5a6773'/>"
-        f"<line x1='{pad}' y1='{pad}' x2='{pad}' y2='{height - pad}' "
-        "stroke='#5a6773'/>"
-        f"<polyline points='{coords}' fill='none' stroke='#2563eb' "
-        "stroke-width='2'/>"
-        f"{dots}"
-        f"<text x='{width - pad}' y='{height - pad + 16}' text-anchor='end' "
-        "font-size='11'>trajectory entry</text>"
-        f"<text x='{pad}' y='{pad - 8}' font-size='11'>{_esc(label)} "
-        f"(last {_fmt(ys[-1])})</text>"
-        "</svg>"
-    )
-
-
-def render_trend_html(
-    trajectory: Sequence[Dict[str, Any]], source: str = ""
-) -> str:
-    """One self-contained HTML page for the bench trajectory.
-
-    An empty trajectory renders a friendly placeholder explaining how to
-    seed the first entry — never a blank page or a degenerate SVG — so
-    ``repro report --trend --html`` is safe to run before any bench job
-    has appended a row.
-    """
-    title = "bench trajectory"
-    if not trajectory:
-        body = (
-            "<p class='note'>No trajectory entries recorded yet"
-            + (f" in {_esc(source)}" if source else "")
-            + ".  Seed the first one by running a benchmark summary "
-            "through the appender:</p>"
-            "<pre>python benchmarks/bench_e17_search_core.py --quick "
-            "--json e17.json\n"
-            "python benchmarks/append_trajectory.py e17.json "
-            "bench_results.json</pre>"
-        )
-    else:
-        used = [
-            (key, label)
-            for key, label in TREND_SERIES
-            if any(entry.get(key) is not None for entry in trajectory)
-        ]
-        rows = [
-            [
-                entry.get("experiment", ""),
-                (entry.get("recorded_at") or "")[:16],
-                (entry.get("commit") or "")[:12],
-            ]
-            + [
-                "" if entry.get(key) is None else entry[key]
-                for key, _ in used
-            ]
-            for entry in trajectory
-        ]
-        parts = [
-            f"<p class='note'>{len(trajectory)} entr"
-            f"{'y' if len(trajectory) == 1 else 'ies'}"
-            + (f" · {_esc(source)}" if source else "")
-            + "</p>",
-            _table(
-                ["experiment", "recorded", "commit"]
-                + [label for _, label in used],
-                rows,
-            ),
-        ]
-        for key, label in used:
-            points = [
-                (float(index), float(entry[key]))
-                for index, entry in enumerate(trajectory)
-                if isinstance(entry.get(key), (int, float))
-            ]
-            if points:
-                parts.append(f"<h2>{_esc(label)}</h2>")
-                parts.append(_trend_svg(points, label))
-        body = "".join(parts)
-    return (
-        "<!DOCTYPE html><html lang='en'><head><meta charset='utf-8'>"
-        f"<title>{_esc(title)}</title><style>{_CSS}</style></head>"
-        f"<body><h1>{_esc(title)}</h1>{body}</body></html>"
-    )
-
-
 def render_html_report(artifact: Dict[str, Any]) -> str:
     """One self-contained HTML page for a campaign artifact dict."""
     verdict = str(artifact.get("verdict", "UNKNOWN"))

@@ -69,14 +69,6 @@ def mask_cache_stats() -> Dict[str, int]:
     }
 
 
-def clear_mask_cache() -> None:
-    """Drop the structural cache and reset its diagnostics (tests)."""
-    global _MASK_CACHE_HITS, _MASK_CACHE_MISSES
-    _MASK_CACHE.clear()
-    _MASK_CACHE_HITS = 0
-    _MASK_CACHE_MISSES = 0
-
-
 def _precedence_masks(
     spans: Sequence[OperationSpan],
 ) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:

@@ -37,7 +37,7 @@ import os
 import sys
 import tempfile
 import time
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.analysis.tables import format_table
 from repro.obs.coverage import CoverageTracker
@@ -813,91 +813,29 @@ def _cmd_verify(args) -> int:
     )
 
 
-def _fmt_trend_cell(value: Any) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return f"{value:.3f}"
-    if isinstance(value, dict):
-        return " ".join(
-            f"{key}={_fmt_trend_cell(val)}" for key, val in sorted(value.items())
+def _load_artifact(
+    path: str, command: str, required: Sequence[str] = ()
+) -> Dict[str, Any]:
+    """Read a campaign artifact, or exit with one line naming ``path``."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            artifact = json.load(handle)
+    except OSError as exc:
+        raise SystemExit(f"{command}: cannot read {path}: {exc.strerror}")
+    except ValueError as exc:
+        raise SystemExit(f"{command}: {path} is not valid JSON: {exc}")
+    if not isinstance(artifact, dict):
+        raise SystemExit(
+            f"{command}: {path} is not a campaign artifact "
+            "(its root is not a JSON object)"
         )
-    return str(value)
-
-
-def _cmd_trend(args) -> int:
-    """Render the stored bench trajectory (satellite of the durable
-    campaigns PR: the trend is what regressions show up as)."""
-    if args.store:
-        from repro.store import CampaignStore
-
-        with CampaignStore(args.store) as store:
-            trajectory = store.trajectory()
-        source = args.store
-    else:
-        path = args.json or "bench_results.json"
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                data = json.load(handle)
-        except FileNotFoundError:
-            raise SystemExit(f"no such file: {path}")
-        if isinstance(data, dict):
-            trajectory = data.get("trajectory") or []
-        elif isinstance(data, list):
-            # A bare-list root (a raw trajectory dump, or the `[]` an
-            # empty bench job once wrote) is the trajectory itself.
-            trajectory = [entry for entry in data if isinstance(entry, dict)]
-        else:
-            trajectory = []
-        source = path
-    if getattr(args, "html", ""):
-        from repro.analysis.htmlreport import render_trend_html
-
-        with open(args.html, "w", encoding="utf-8") as handle:
-            handle.write(render_trend_html(trajectory, source))
-        print(
-            f"trend report ({len(trajectory)} entries) written to {args.html}"
+    missing = [key for key in required if key not in artifact]
+    if missing:
+        raise SystemExit(
+            f"{command}: {path} is not a campaign artifact "
+            f"(missing {', '.join(missing)})"
         )
-        return 0
-    if not trajectory:
-        print(
-            f"no trajectory entries in {source} — seed one with "
-            "benchmarks/append_trajectory.py after any bench --json run"
-        )
-        return 0
-    columns = [
-        ("aggregate_speedup", "speedup"),
-        ("overhead", "obs-ovh"),
-        ("checkpoint_overhead", "ckpt-ovh"),
-        ("reclamation_overhead", "reclaim-ovh"),
-        ("tso_overhead", "tso-ovh"),
-        ("guided_speedup", "guided"),
-        ("sleep_set_reduction", "sleep-set"),
-        ("dpor_reduction", "dpor"),
-        ("provenance_overhead", "prov-ovh"),
-    ]
-    used = [
-        (key, label)
-        for key, label in columns
-        if any(entry.get(key) is not None for entry in trajectory)
-    ]
-    rows = [
-        [
-            entry.get("experiment", ""),
-            (entry.get("recorded_at") or "")[:16],
-            (entry.get("commit") or "")[:12],
-        ]
-        + [_fmt_trend_cell(entry.get(key)) for key, _ in used]
-        for entry in trajectory
-    ]
-    print(
-        format_table(
-            f"bench trajectory ({len(trajectory)} entries, {source})",
-            ["experiment", "recorded", "commit"] + [label for _, label in used],
-            rows,
-        )
-    )
-    return 0
+    return artifact
 
 
 def _render_span_tree(roots: List[Dict[str, Any]], indent: int = 0) -> List[str]:
@@ -929,8 +867,7 @@ def _cmd_explain(args) -> int:
     adds the hierarchical span timeline; ``--html`` writes the flight
     recorder page.
     """
-    with open(args.json, "r", encoding="utf-8") as handle:
-        artifact = json.load(handle)
+    artifact = _load_artifact(args.json, "explain")
     snapshot = artifact.get("provenance")
     if not snapshot:
         print(
@@ -982,12 +919,11 @@ def _cmd_explain(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    if args.trend:
-        return _cmd_trend(args)
     if not args.json:
-        raise SystemExit("report: --json is required (unless using --trend)")
-    with open(args.json, "r", encoding="utf-8") as handle:
-        artifact = json.load(handle)
+        raise SystemExit("report: --json is required")
+    artifact = _load_artifact(
+        args.json, "report", ("kind", "workload", "verdict", "tallies")
+    )
     if args.html:
         from repro.analysis.htmlreport import render_html_report
 
@@ -1136,24 +1072,9 @@ def build_parser() -> argparse.ArgumentParser:
     resume.set_defaults(func=_cmd_resume)
 
     report = sub.add_parser("report", help="render a saved campaign artifact")
-    report.add_argument(
-        "--json",
-        default="",
-        help="campaign artifact path (with --trend: a bench_results.json; "
-        "defaults to bench_results.json)",
-    )
+    report.add_argument("--json", default="", help="campaign artifact path")
     report.add_argument(
         "--html", default="", help="write a self-contained HTML report here"
-    )
-    report.add_argument(
-        "--trend",
-        action="store_true",
-        help="render the stored bench trajectory instead of an artifact",
-    )
-    report.add_argument(
-        "--store",
-        default="",
-        help="with --trend: read the trajectory from this campaign store",
     )
     report.set_defaults(func=_cmd_report)
 

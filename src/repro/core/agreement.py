@@ -15,11 +15,11 @@ the monotonicity constraint can be enforced incrementally.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set
 
 from repro.core.actions import Operation
 from repro.core.catrace import CATrace
-from repro.core.history import History, OperationSpan
+from repro.core.history import History
 
 
 def find_agreement(
@@ -102,11 +102,6 @@ def find_agreement(
 def agrees(history: History, trace: CATrace) -> bool:
     """``H ⊑_CAL T`` (Def. 5)."""
     return find_agreement(history, trace) is not None
-
-
-def _span_key(span: OperationSpan) -> Tuple[int, int]:
-    assert span.res_index is not None
-    return (span.res_index, span.inv_index)
 
 
 def is_cal_history(

@@ -107,16 +107,6 @@ class CheckpointWriter:
             )
 
 
-class NullCheckpoint:
-    """No-op writer: lets callers unconditionally call the hooks."""
-
-    def chunk_done(self, index: int, seed_start: int, seed_count: int, report: Any) -> None:
-        pass
-
-    def chunk_quarantined(self, index: int, seed_start: int, seed_count: int, error: str) -> None:
-        pass
-
-
 def restore_completed(
     store: CampaignStore, campaign_id: str
 ) -> "dict[int, Any]":
@@ -130,7 +120,6 @@ def restore_completed(
 
 __all__ = [
     "CheckpointWriter",
-    "NullCheckpoint",
     "dump_report",
     "load_report",
     "restore_completed",

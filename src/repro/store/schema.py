@@ -338,10 +338,17 @@ class CampaignStore:
 
     # -- bench trajectory ----------------------------------------------
     def append_trajectory(self, entry: Dict[str, Any]) -> None:
-        """Append one bench-trajectory entry (see
-        ``benchmarks/append_trajectory.py``).  The entry dict is stored
+        """Append one bench-trajectory entry.  The entry dict is stored
         verbatim as JSON; ``experiment``/``commit``/``recorded_at`` are
-        additionally lifted into columns for filtering."""
+        additionally lifted into columns for filtering.
+
+        Nothing in the toolkit writes this table any more: the perf
+        record is ``benchmarks/layers/trajectory.jsonl``.  The table
+        stays because it is part of the version-1 schema (dropping it
+        needs a ``SCHEMA_VERSION`` bump that would reject every
+        existing store), and the layer tracer in
+        ``benchmarks/layers/seams.py`` wraps this method and
+        :meth:`trajectory` as store seams."""
         with self._conn:
             self._conn.execute(
                 "INSERT INTO trajectory "

@@ -323,6 +323,48 @@ class TestReportCommand:
         assert "verdict-fail" in page
 
 
+class TestBadArtifacts:
+    """``report`` and ``explain`` exit with one line naming the path
+    when the artifact is missing, unreadable or not a JSON object."""
+
+    COMMANDS = pytest.mark.parametrize("command", ["report", "explain"])
+
+    def _exit_message(self, *argv):
+        with pytest.raises(SystemExit) as excinfo:
+            _run(*argv)
+        message = excinfo.value.code
+        assert isinstance(message, str) and "\n" not in message
+        return message
+
+    @COMMANDS
+    def test_missing_file(self, command, tmp_path):
+        path = tmp_path / "nope.json"
+        message = self._exit_message(command, "--json", str(path))
+        assert message.startswith(f"{command}: ")
+        assert str(path) in message and "No such file" in message
+
+    @COMMANDS
+    def test_invalid_json(self, command, tmp_path):
+        path = tmp_path / "torn.json"
+        path.write_text('{"kind": "fuzz", ')
+        message = self._exit_message(command, "--json", str(path))
+        assert str(path) in message and "not valid JSON" in message
+
+    @COMMANDS
+    def test_non_object_root(self, command, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[]")
+        message = self._exit_message(command, "--json", str(path))
+        assert str(path) in message and "not a JSON object" in message
+
+    def test_report_names_the_missing_keys(self, tmp_path):
+        path = tmp_path / "partial.json"
+        path.write_text(json.dumps({"kind": "fuzz"}))
+        message = self._exit_message("report", "--json", str(path))
+        assert str(path) in message
+        assert "missing workload, verdict, tallies" in message
+
+
 class TestProgressRenderer:
     def test_renders_campaign_progress(self):
         stream = StringIO()
@@ -414,82 +456,17 @@ class TestHazardWorkloads:
 
 
 class TestTrendReport:
-    ENTRY = {
-        "experiment": "E20",
-        "recorded_at": "2026-08-07T00:00:00+00:00",
-        "commit": "abcdef1234567890",
-        "reclamation_overhead": {"free-list": 0.12, "hazard": 0.07},
-        "tso_overhead": 0.14,
-    }
-
-    def test_trend_from_results_json(self, tmp_path, capsys):
-        results = tmp_path / "bench_results.json"
-        results.write_text(json.dumps({"trajectory": [self.ENTRY]}))
-        assert _run("report", "--trend", "--json", str(results)) == 0
-        out = capsys.readouterr().out
-        assert "E20" in out and "abcdef123456" in out
-        assert "reclaim-ovh" in out and "tso-ovh" in out
-        assert "free-list=0.12" in out
-
-    def test_trend_from_campaign_store(self, tmp_path, capsys):
-        import sys
-
-        sys.path.insert(0, "src")
-        from repro.store import CampaignStore
-
-        store_path = tmp_path / "campaigns.db"
-        with CampaignStore(str(store_path)) as store:
-            store.append_trajectory(self.ENTRY)
-        assert _run("report", "--trend", "--store", str(store_path)) == 0
-        out = capsys.readouterr().out
-        assert "E20" in out and "tso-ovh" in out
-
-    def test_trend_renders_e22_without_breaking_older_rows(
-        self, tmp_path, capsys
-    ):
-        """New columns (E22's ``dpor_reduction``) must appear without
-        breaking rows recorded before the column existed."""
-        old = {
-            "experiment": "E21",
-            "recorded_at": "2026-08-06T00:00:00+00:00",
-            "commit": "1111111111111111",
-            "sleep_set_reduction": 79.7,
-        }
-        new = {
-            "experiment": "E22",
-            "recorded_at": "2026-08-07T00:00:00+00:00",
-            "commit": "2222222222222222",
-            "dpor_reduction": 301.3,
-        }
-        results = tmp_path / "bench_results.json"
-        results.write_text(json.dumps({"trajectory": [old, new]}))
-        assert _run("report", "--trend", "--json", str(results)) == 0
-        out = capsys.readouterr().out
-        assert "E21" in out and "E22" in out
-        assert "dpor" in out and "301.3" in out
-        assert "sleep-set" in out and "79.7" in out
-        html_path = tmp_path / "trend.html"
-        assert (
-            _run(
-                "report",
-                "--trend",
-                "--json",
-                str(results),
-                "--html",
-                str(html_path),
-            )
-            == 0
-        )
-        page = html_path.read_text()
-        assert "DPOR schedule reduction" in page
-        assert "301" in page
-
-    def test_trend_with_no_entries_reports_empty(self, tmp_path, capsys):
-        results = tmp_path / "empty.json"
-        results.write_text(json.dumps({}))
-        assert _run("report", "--trend", "--json", str(results)) == 0
-        assert "no trajectory entries" in capsys.readouterr().out
+    """``report`` takes one artifact and nothing else: ``--json`` is
+    required, and ``--html`` is the only other option."""
 
     def test_report_without_json_still_requires_it(self):
         with pytest.raises(SystemExit, match="--json is required"):
             _run("report")
+
+    def test_report_options_are_json_and_html(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            _run("report", "--help")
+        assert excinfo.value.code == 0
+        usage = capsys.readouterr().out
+        options = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", usage))
+        assert options == {"--help", "--json", "--html"}

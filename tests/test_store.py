@@ -99,6 +99,27 @@ class TestCampaignStore:
         assert store.fingerprints("scope", "schedule") == {"a", "b", "c"}
         assert store.fingerprints("other", "schedule") == set()
 
+    def test_trajectory_round_trip(self, store):
+        e20 = {
+            "experiment": "E20",
+            "recorded_at": "2026-08-07T00:00:00+00:00",
+            "commit": "abcdef1234567890",
+            "reclamation_overhead": {"free-list": 0.12, "hazard": 0.07},
+            "tso_overhead": 0.14,
+        }
+        e22 = {
+            "experiment": "E22",
+            "recorded_at": "2026-08-08T00:00:00+00:00",
+            "commit": "2222222222222222",
+            "dpor_reduction": 301.3,
+        }
+        store.append_trajectory(e20)
+        store.append_trajectory(e22)
+        assert store.trajectory() == [e20, e22]
+        assert store.trajectory(experiment="E22") == [e22]
+        assert store.trajectory(experiment="E20") == [e20]
+        assert store.trajectory(experiment="E17") == []
+
     def test_store_survives_reopen(self, tmp_path):
         path = str(tmp_path / "campaigns.db")
         with CampaignStore(path) as first:
