@@ -17,8 +17,9 @@ pinned prefix), so parallelism is a pure partitioning problem:
   also re-establishes the sequential report's shrunk schedule.
 
 * **Explore campaigns** (:func:`explore_parallel`) shard the schedule
-  space by the first decision point: a probe run discovers its arity,
-  then each worker enumerates one ``pin_prefix=[k]`` subtree
+  space by the first decision point: a probe run discovers its arity
+  (:func:`~repro.substrate.explore.shard_plan`), then each worker
+  enumerates one ``pin_prefix=[k]`` subtree
   (:func:`~repro.substrate.explore.explore_all`).  Concatenating shard
   results in pin order reproduces exactly the sequential enumeration
   order, so downstream consumers cannot tell the difference.
@@ -78,11 +79,10 @@ from repro.substrate.explore import (
     ExploreBudget,
     SetupFn,
     explore_all,
-    shard_sleep_seeds,
+    shard_plan,
     validate_exploration,
 )
 from repro.substrate.runtime import RunResult
-from repro.substrate.schedulers import ReplayScheduler
 
 _T = TypeVar("_T")
 
@@ -624,14 +624,6 @@ def _sanitize(result: RunResult) -> RunResult:
     return result
 
 
-def _first_arity(setup: SetupFn, max_steps: Optional[int]) -> int:
-    """Arity of the program's first decision point (0 if deterministic)."""
-    scheduler = ReplayScheduler(())
-    runtime = setup(scheduler)
-    runtime.run(max_steps=max_steps)
-    return scheduler.log[0][0] if scheduler.log else 0
-
-
 def explore_parallel(
     setup: SetupFn,
     max_steps: Optional[int] = None,
@@ -683,9 +675,12 @@ def explore_parallel(
     workers = default_workers() if workers is None else workers
     if budget is not None:
         budget.start()
-    arity = _first_arity(setup, max_steps)
-    context = _fork_context()
-    if context is None or workers <= 1 or arity <= 1:
+    pins, seeds = (
+        shard_plan(setup, max_steps, reduction)
+        if workers > 1 and _fork_context() is not None
+        else ([[]], None)
+    )
+    if len(pins) <= 1:
         results = list(
             explore_all(
                 setup,
@@ -700,12 +695,9 @@ def explore_parallel(
         _observe_explore(metrics, trace, results, budget, coverage)
         return results
     remaining = budget.remaining_deadline() if budget is not None else None
-    seeds = (
-        shard_sleep_seeds(setup, arity) if reduction != "none" else None
-    )
 
     def shard_task(
-        pin: int,
+        index: int,
     ) -> Callable[[], Tuple[List[RunResult], ExploreBudget, Optional[dict]]]:
         def run_shard() -> Tuple[List[RunResult], ExploreBudget, Optional[dict]]:
             shard_budget = (
@@ -731,9 +723,9 @@ def explore_parallel(
                     include_incomplete=include_incomplete,
                     preemption_bound=preemption_bound,
                     budget=shard_budget,
-                    pin_prefix=[pin],
+                    pin_prefix=pins[index],
                     reduction=reduction,
-                    sleep_seed=None if seeds is None else seeds[pin],
+                    sleep_seed=None if seeds is None else seeds[index],
                     provenance=shard_ledger,
                 )
             ]
@@ -745,7 +737,7 @@ def explore_parallel(
         return run_shard
 
     shards = _map_forked(
-        [shard_task(k) for k in range(arity)],
+        [shard_task(index) for index in range(len(pins))],
         workers,
         trace=trace,
         deadline_at=None if remaining is None else time.monotonic() + remaining,

@@ -242,28 +242,21 @@ def _sweep_shards(
 ) -> List[Any]:
     """Run a sharded exhaustive campaign, one checkpointed chunk per shard.
 
-    Shards by the first decision point (the partition
+    Shards by the first decision point
+    (:func:`~repro.substrate.explore.shard_plan`, the partition
     :func:`~repro.checkers.parallel.explore_parallel` uses) and runs the
     shards missing from ``completed`` sequentially in pin order, each in
     a chunk span and committed as it finishes.  Reduced sweeps hand each
-    shard the sleep state of its siblings
-    (:func:`~repro.substrate.explore.shard_sleep_seeds`) — a pure
-    function of ``setup``, so a resumed campaign's remaining shards
-    prune exactly as the uninterrupted run's did.
+    shard the sleep state of its siblings — a pure function of
+    ``setup``, so a resumed campaign's remaining shards prune exactly as
+    the uninterrupted run's did.
     ``run_shard(index, pin, sleep_seed, shards)`` returns one shard's
     checkpoint payload; ``shards`` already holds the payloads of every
     shard before it.  Returns all payloads in pin order.
     """
-    from repro.checkers.parallel import _first_arity
-    from repro.substrate.explore import shard_sleep_seeds
+    from repro.substrate.explore import shard_plan
 
-    arity = _first_arity(setup, max_steps)
-    pins: List[Any] = [[k] for k in range(arity)] if arity > 1 else [[]]
-    seeds = (
-        shard_sleep_seeds(setup, arity)
-        if reduction != "none" and arity > 1
-        else None
-    )
+    pins, seeds = shard_plan(setup, max_steps, reduction)
     writer = CheckpointWriter(
         store, campaign_id, trace=trace, abort_after=abort_after
     )

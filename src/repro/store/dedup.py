@@ -45,7 +45,7 @@ def probe_width(setup) -> int:
 
     Runs the setup against an empty replay schedule — no steps execute,
     but registration happens — mirroring the arity probe in
-    :func:`repro.checkers.parallel._first_arity`.
+    :func:`repro.substrate.explore.shard_plan`.
     """
     scheduler = ReplayScheduler(())
     runtime = setup(scheduler)

@@ -1,6 +1,6 @@
 """Source-set dynamic partial-order reduction with wakeup trees.
 
-Sleep sets (:mod:`repro.substrate.explore`) *enumerate-then-skip*: every
+Sleep sets (:class:`SleepSetExplorer`) *enumerate-then-skip*: every
 branch of every decision node is still visited, and redundant ones are
 cut only after the scheduler reaches them, so wide programs pay close to
 full enumeration cost in pruned partial runs.  DPOR inverts the control:
@@ -39,16 +39,15 @@ refinement of Abdulla et al.'s source-set DPOR:
 Sleep sets are kept as well (they are what makes source-set DPOR
 *source-set*): a completed branch's agent sleeps in its siblings until a
 dependent step wakes it, so the engine never re-explores a reversal from
-the other side.  The run loop, replay scheduler, ``pin_prefix``
-sharding and ``sleep_seed`` shard exchange are all shared with the
-sleep-set engine via :mod:`repro.substrate.explore`.
+the other side.  Switched off, the race analysis leaves exactly
+Godefroid's sleep-set search, which is therefore a small subclass here;
+both run through the replay loop in :mod:`repro.substrate.explore`.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.substrate.explore import _PinnedNode, _PrunedRun, _ValueNode
 from repro.substrate.independence import (
     OPAQUE,
     WILDCARD,
@@ -57,6 +56,43 @@ from repro.substrate.independence import (
     independent,
 )
 from repro.substrate.runtime import Runtime
+
+
+class _PrunedRun(Exception):
+    """Raised from ``choose_thread`` to abandon a redundant continuation.
+
+    ``Runtime.run`` calls ``choose_thread`` outside its crash-handling
+    ``try``, so this propagates cleanly to the explorer without being
+    mistaken for a thread crash.
+    """
+
+
+class _PinnedNode:
+    """A ``pin_prefix`` decision: replayed verbatim, never backtracked."""
+
+    __slots__ = ("chosen",)
+
+    def __init__(self, chosen: int) -> None:
+        self.chosen = chosen
+
+
+def _pinned_choice(node: _PinnedNode, arity: int) -> int:
+    """``node``'s pinned choice, checked against the decision's arity."""
+    if not 0 <= node.chosen < arity:
+        raise ValueError(
+            f"pin prefix out of range: {node.chosen} not in [0, {arity})"
+        )
+    return node.chosen
+
+
+class _ValueNode:
+    """An in-program ``Choose`` decision: enumerated exhaustively."""
+
+    __slots__ = ("arity", "chosen")
+
+    def __init__(self, arity: int) -> None:
+        self.arity = arity
+        self.chosen = 0
 
 
 class _DporNode:
@@ -91,13 +127,20 @@ class _Event:
 class DporExplorer:
     """Drives source-set DPOR over a persistent decision-node stack.
 
-    The public surface matches ``_SleepSetExplorer`` — ``begin_run`` /
-    ``on_thread_choice`` / ``on_value_choice`` / ``on_step`` /
-    ``end_run`` / ``backtrack`` — so :func:`repro.substrate.explore
-    .explore_all` runs both through the same replay loop.  ``end_run``
-    is where DPOR earns its keep: the finished run's race analysis
-    queues wakeup sequences on the stack's nodes, and ``backtrack``
-    only ever advances to a branch some race asked for.
+    The replay loop of :func:`repro.substrate.explore.explore_all` calls
+    ``begin_run`` / ``on_thread_choice`` / ``on_value_choice`` /
+    ``on_step`` / ``end_run`` / ``backtrack``.  ``end_run`` is where
+    DPOR earns its keep: the finished run's race analysis queues wakeup
+    sequences on the stack's nodes, and ``backtrack`` only ever advances
+    to a branch some race asked for.
+
+    ``sleep_seed`` (thread -> footprint of its pending first step) seeds
+    the sleep set of the first *unpinned* thread-choice node, so shard
+    ``k`` starts with the sleep state a sequential sweep carries into
+    the root's ``k``-th branch (see :func:`repro.substrate.explore
+    .shard_sleep_seeds`).  Like an in-run sleeper, a seeded one
+    survives only while independent of every pinned step, and faults
+    (steps with no footprint) drop the whole seed.
     """
 
     def __init__(
@@ -121,9 +164,10 @@ class DporExplorer:
         self.races = 0  # immediate races analysed (stat)
         self.wakeups = 0  # wakeup sequences queued (stat)
         self.ledger = ledger  # optional ExplorationLedger (provenance)
-        # Backtrack advance kind staged for the next attempt; committed
-        # by the replay loop when the attempt begins (see
-        # ``_SleepSetExplorer.staged_advance``).
+        # The kind of the backtrack advance that armed the *next*
+        # attempt.  The replay loop commits it to the ledger only when
+        # that attempt actually begins — a budget cut between backtrack
+        # and attempt must not leave a dangling advance on the books.
         self.staged_advance: Optional[str] = None
         self.events: List[_Event] = []
         self._suffix_start: Optional[int] = None
@@ -194,16 +238,11 @@ class DporExplorer:
             node = self.stack[self._depth]
             self._depth += 1
             if isinstance(node, _PinnedNode):
-                if not 0 <= node.chosen < len(enabled):
-                    raise ValueError(
-                        f"pin prefix out of range: {node.chosen} not in "
-                        f"[0, {len(enabled)})"
-                    )
                 self._awaiting_pinned_step = True
-                return node.chosen
+                return _pinned_choice(node, len(enabled))
             if not isinstance(node, _DporNode) or node.enabled != enabled:
                 raise RuntimeError(
-                    "dpor replay desync: nondeterministic setup?"
+                    "replay desync: nondeterministic setup?"
                 )
             self._current = node
             self._pending_plan = node.plan
@@ -242,15 +281,10 @@ class DporExplorer:
             node = self.stack[self._depth]
             self._depth += 1
             if isinstance(node, _PinnedNode):
-                if not 0 <= node.chosen < arity:
-                    raise ValueError(
-                        f"pin prefix out of range: {node.chosen} not in "
-                        f"[0, {arity})"
-                    )
-                return node.chosen
+                return _pinned_choice(node, arity)
             if not isinstance(node, _ValueNode):
                 raise RuntimeError(
-                    "dpor replay desync: nondeterministic setup?"
+                    "replay desync: nondeterministic setup?"
                 )
             return node.chosen
         node = _ValueNode(arity)
@@ -264,30 +298,33 @@ class DporExplorer:
         self._current = None
         step = footprint_of(tid, effect, self._memory_model)
         if node is None:
-            # A pinned decision's step: filter the shard seed through it.
-            self._awaiting_pinned_step = False
-            if self._seed_live:
-                self._seed_live = {
-                    sleeper: pending
-                    for sleeper, pending in self._seed_live.items()
-                    if independent(pending, step)
-                }
-            self._pending_sleep = dict(self._seed_live)
-            self.events.append(_Event(None, tid, step))
-            return
-        node.footprint = step
-        self._pending_sleep = {
-            sleeper: pending
-            for sleeper, pending in node.sleep.items()
-            if independent(pending, step)
-        }
-        if self._suffix_start is None and self._depth >= self._replay_len:
-            # The new part of this run starts at the step of the last
-            # replayed decision — the one ``backtrack`` advanced — not
-            # at the first freshly-created node: races ending at the
-            # advanced branch's own first step must be analysed too.
-            self._suffix_start = len(self.events)
+            self._pinned_step(step)
+        else:
+            node.footprint = step
+            self._pending_sleep = {
+                sleeper: pending
+                for sleeper, pending in node.sleep.items()
+                if independent(pending, step)
+            }
+            if self._suffix_start is None and self._depth >= self._replay_len:
+                # The new part of this run starts at the step of the
+                # last replayed decision — the one ``backtrack``
+                # advanced — not at the first freshly-created node:
+                # races ending at the advanced branch's own first step
+                # must be analysed too.
+                self._suffix_start = len(self.events)
         self.events.append(_Event(node, tid, step))
+
+    def _pinned_step(self, step: Footprint) -> None:
+        """A pinned decision's step: filter the shard seed through it."""
+        self._awaiting_pinned_step = False
+        if self._seed_live:
+            self._seed_live = {
+                sleeper: pending
+                for sleeper, pending in self._seed_live.items()
+                if independent(pending, step)
+            }
+        self._pending_sleep = dict(self._seed_live)
 
     # -- race analysis --------------------------------------------------
     def end_run(self) -> None:
@@ -493,7 +530,7 @@ class DporExplorer:
 
     # -- backtracking ---------------------------------------------------
     def backtrack(self) -> bool:
-        """Advance to the next race-demanded leaf; False when exhausted."""
+        """Advance to the next unexplored leaf; False when exhausted."""
         stack = self.stack
         while len(stack) > self._pinned:
             node = stack[-1]
@@ -505,27 +542,74 @@ class DporExplorer:
                 stack.pop()
                 continue
             # The chosen subtree is fully explored: its agent sleeps,
-            # then the next queued wakeup sequence (if any) is taken.
+            # then the node takes its next branch, if it has one.
             done = node.enabled[node.chosen]
             node.sleep[done] = (
                 node.footprint if node.footprint is not None else OPAQUE
             )
-            advanced = False
-            while node.wakeup:
-                head, *tail = node.wakeup.pop(0)
-                if head in node.sleep:
-                    if self.ledger is not None:
-                        self.ledger.record_wakeup(
-                            "rejected_covered_since_queued"
-                        )
-                    continue  # covered since it was queued
-                node.chosen = node.enabled.index(head)
-                node.plan = tuple(tail)
+            advance = self._advance(node)
+            if advance is not None:
                 node.footprint = None
-                advanced = True
-                break
-            if advanced:
-                self.staged_advance = "race_reversal"
+                self.staged_advance = advance
                 return True
             stack.pop()
         return False
+
+    def _advance(self, node: _DporNode) -> Optional[str]:
+        """Take ``node``'s next queued wakeup; the advance kind, or None."""
+        while node.wakeup:
+            head, *tail = node.wakeup.pop(0)
+            if head in node.sleep:
+                if self.ledger is not None:
+                    self.ledger.record_wakeup("rejected_covered_since_queued")
+                continue  # covered since it was queued
+            node.chosen = node.enabled.index(head)
+            node.plan = tuple(tail)
+            return "race_reversal"
+        return None
+
+
+class SleepSetExplorer(DporExplorer):
+    """Godefroid's sleep-set search: :class:`DporExplorer` without races.
+
+    A child node inherits the parent's sleepers that are independent of
+    the executed step, and a finished branch's thread falls asleep at
+    its node.  With no race analysis to ask for branches, every awake
+    sibling gets one; a continuation whose enabled threads are all
+    asleep commutes into runs already explored and is pruned.  History
+    appends all write the shared ``("hist",)`` token (see
+    :mod:`repro.substrate.independence`), so the complete-run histories
+    — hence verdicts and counterexamples — are those of ``"none"``.
+    """
+
+    def on_step(self, tid: str, effect: Any) -> None:
+        # DporExplorer.on_step without the event list, which exists only
+        # for race analysis.
+        node = self._current
+        self._current = None
+        step = footprint_of(tid, effect, self._memory_model)
+        if node is None:
+            self._pinned_step(step)
+            return
+        node.footprint = step
+        self._pending_sleep = {
+            sleeper: pending
+            for sleeper, pending in node.sleep.items()
+            if independent(pending, step)
+        }
+
+    def _note_unobserved_step(self) -> None:
+        # Nothing to queue: once its branch is done, the unobserved
+        # step's thread sleeps as OPAQUE (see ``backtrack``).
+        self._current = None
+
+    def end_run(self) -> None:
+        """No race analysis: sleep sets prune by enumeration alone."""
+
+    def _advance(self, node: _DporNode) -> Optional[str]:
+        """Take the next awake sibling in ``enabled`` order, if any."""
+        for index in range(node.chosen + 1, len(node.enabled)):
+            if node.enabled[index] not in node.sleep:
+                node.chosen = index
+                return "sibling_advance"
+        return None

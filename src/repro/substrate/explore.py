@@ -29,13 +29,9 @@ from typing import (
     Tuple,
 )
 
+from repro.substrate.dpor import DporExplorer, SleepSetExplorer, _PrunedRun
 from repro.substrate.faults import FaultPlan
-from repro.substrate.independence import (
-    OPAQUE,
-    Footprint,
-    footprint_of,
-    independent,
-)
+from repro.substrate.independence import OPAQUE, Footprint, footprint_of
 from repro.substrate.runtime import MEMORY_MODELS, RunResult, Runtime
 from repro.substrate.schedulers import (
     RandomScheduler,
@@ -218,73 +214,10 @@ def run_schedule(
     return result
 
 
-# ---------------------------------------------------------------------------
-# Sleep-set partial-order reduction (Godefroid).
-#
-# The reduced search keeps the stateless-replay structure of the plain
-# explorer — each run rebuilds the world and replays the decision stack —
-# but maintains, per thread-choice node, a *sleep set*: threads whose
-# next step is provably covered by a sibling branch already explored.
-# A child inherits the parent's sleeping threads that are independent of
-# the executed step (their pending step still commutes around it); after
-# a sibling subtree finishes, its thread joins the node's sleep set.  A
-# continuation whose enabled threads are all asleep is redundant — every
-# maximal run below it is a commutation of runs already explored — and
-# is pruned.
-#
-# Because every history/trace-appending step writes the shared ("hist",)
-# token (see repro.substrate.independence), commuting-equivalent runs
-# carry identical histories: the reduced sweep yields the same set of
-# complete-run histories (hence verdicts and counterexample content) as
-# the unreduced one, while visiting strictly fewer schedules whenever
-# any two co-enabled steps commute.
-# ---------------------------------------------------------------------------
+class _ReducedScheduler(Scheduler):
+    """Thin adapter: forwards decisions to a reduced explorer, logs them."""
 
-
-class _PrunedRun(Exception):
-    """Raised from ``choose_thread`` to abandon a redundant continuation.
-
-    ``Runtime.run`` calls ``choose_thread`` outside its crash-handling
-    ``try``, so this propagates cleanly to the explorer without being
-    mistaken for a thread crash.
-    """
-
-
-class _PinnedNode:
-    """A ``pin_prefix`` decision: replayed verbatim, never backtracked."""
-
-    __slots__ = ("chosen",)
-
-    def __init__(self, chosen: int) -> None:
-        self.chosen = chosen
-
-
-class _ValueNode:
-    """An in-program ``Choose`` decision: enumerated exhaustively."""
-
-    __slots__ = ("arity", "chosen")
-
-    def __init__(self, arity: int) -> None:
-        self.arity = arity
-        self.chosen = 0
-
-
-class _ThreadNode:
-    """A thread-choice decision point with its sleep set."""
-
-    __slots__ = ("enabled", "sleep", "chosen", "footprint")
-
-    def __init__(self, enabled: Tuple[str, ...], sleep: Dict[str, Footprint]):
-        self.enabled = enabled
-        self.sleep = sleep  # tid -> footprint of its pending step
-        self.chosen = 0  # index into enabled
-        self.footprint: Optional[Footprint] = None  # of the executed step
-
-
-class _SleepSetScheduler(Scheduler):
-    """Thin adapter: forwards decisions to the explorer, logs them."""
-
-    def __init__(self, explorer: "_SleepSetExplorer") -> None:
+    def __init__(self, explorer: DporExplorer) -> None:
         self._explorer = explorer
         self.log: List[Tuple[int, int]] = []
 
@@ -303,180 +236,8 @@ class _SleepSetScheduler(Scheduler):
         return [chosen for _, chosen in self.log]
 
 
-class _SleepSetExplorer:
-    """Drives the reduced DFS over a persistent decision-node stack.
-
-    ``sleep_seed`` (thread -> footprint of its pending first step) seeds
-    the sleep set of the first *unpinned* thread-choice node.  The
-    parallel and durable drivers use it to exchange reduction knowledge
-    at shard boundaries: shard ``k`` starts with the first-step
-    footprints of shards ``0..k-1`` asleep — exactly the sleep state a
-    sequential sweep would carry into the root's ``k``-th branch — so a
-    sharded sweep prunes as the unsharded one does.  The seed survives
-    the pinned prefix only while independent of every pinned step (and
-    is dropped wholesale across steps with no observable footprint, such
-    as injected faults), mirroring the in-run inheritance rule.
-    """
-
-    def __init__(
-        self,
-        pin_prefix: Sequence[int],
-        sleep_seed: Optional[Dict[str, Footprint]] = None,
-        ledger=None,
-    ) -> None:
-        self.stack: List[Any] = [_PinnedNode(c) for c in pin_prefix]
-        self._pinned = len(pin_prefix)
-        self._replay_len = 0
-        self._depth = 0
-        self._sleep_seed: Dict[str, Footprint] = dict(sleep_seed or {})
-        self._seed_live: Dict[str, Footprint] = {}
-        self._awaiting_pinned_step = False
-        self._pending_sleep: Dict[str, Footprint] = {}
-        self._current: Optional[_ThreadNode] = None
-        self._memory_model = "sc"
-        self.pruned = 0
-        self.ledger = ledger  # optional ExplorationLedger (provenance)
-        # The kind of the backtrack advance that armed the *next*
-        # attempt.  The replay loop commits it to the ledger only when
-        # that attempt actually begins — a budget cut between backtrack
-        # and attempt must not leave a dangling advance on the books.
-        self.staged_advance: Optional[str] = None
-
-    def begin_run(self, runtime: Runtime) -> None:
-        """Arm the explorer for one run over ``runtime``."""
-        self._replay_len = len(self.stack)
-        self._depth = 0
-        self._pending_sleep = dict(self._sleep_seed)
-        self._seed_live = dict(self._sleep_seed)
-        self._awaiting_pinned_step = False
-        self._current = None
-        self._memory_model = runtime.memory_model
-        runtime.observer = self.on_step
-
-    def end_run(self) -> None:
-        """Per-run epilogue hook (no analysis needed for sleep sets)."""
-
-    # -- scheduler callbacks -------------------------------------------
-    def on_thread_choice(self, enabled: Tuple[str, ...]) -> int:
-        self._current = None
-        if self._awaiting_pinned_step:
-            # The previous pinned decision's step never reported a
-            # footprint (an injected fault or crash): conservatively
-            # drop the shard seed rather than claim commutation.
-            self._seed_live = {}
-            self._awaiting_pinned_step = False
-        inherited = self._pending_sleep
-        self._pending_sleep = {}  # consume-once: crashes leave no stale sleep
-        if self._depth < self._replay_len:
-            node = self.stack[self._depth]
-            self._depth += 1
-            if isinstance(node, _PinnedNode):
-                if not 0 <= node.chosen < len(enabled):
-                    raise ValueError(
-                        f"pin prefix out of range: {node.chosen} not in "
-                        f"[0, {len(enabled)})"
-                    )
-                self._awaiting_pinned_step = True
-                return node.chosen
-            if not isinstance(node, _ThreadNode) or node.enabled != enabled:
-                raise RuntimeError(
-                    "sleep-set replay desync: nondeterministic setup?"
-                )
-            self._current = node
-            return node.chosen
-        node = _ThreadNode(enabled, inherited)
-        for index, tid in enumerate(enabled):
-            if tid not in node.sleep:
-                node.chosen = index
-                self.stack.append(node)
-                self._depth += 1
-                self._current = node
-                return index
-        raise _PrunedRun()
-
-    def on_value_choice(self, arity: int) -> int:
-        if self._depth < self._replay_len:
-            node = self.stack[self._depth]
-            self._depth += 1
-            if isinstance(node, _PinnedNode):
-                if not 0 <= node.chosen < arity:
-                    raise ValueError(
-                        f"pin prefix out of range: {node.chosen} not in "
-                        f"[0, {arity})"
-                    )
-                return node.chosen
-            if not isinstance(node, _ValueNode):
-                raise RuntimeError(
-                    "sleep-set replay desync: nondeterministic setup?"
-                )
-            return node.chosen
-        node = _ValueNode(arity)
-        self.stack.append(node)
-        self._depth += 1
-        return node.chosen
-
-    # -- runtime observer ----------------------------------------------
-    def on_step(self, tid: str, effect: Any) -> None:
-        node = self._current
-        self._current = None
-        if node is None:
-            # A pinned decision's step: filter the shard seed through it
-            # (a seeded sleeper survives only while its pending step is
-            # independent of every pinned step, exactly as an in-run
-            # sleeper would); nothing else is inherited below it.
-            self._awaiting_pinned_step = False
-            if self._seed_live:
-                step = footprint_of(tid, effect, self._memory_model)
-                self._seed_live = {
-                    sleeper: pending
-                    for sleeper, pending in self._seed_live.items()
-                    if independent(pending, step)
-                }
-            self._pending_sleep = dict(self._seed_live)
-            return
-        step = footprint_of(tid, effect, self._memory_model)
-        node.footprint = step
-        self._pending_sleep = {
-            sleeper: pending
-            for sleeper, pending in node.sleep.items()
-            if independent(pending, step)
-        }
-
-    # -- backtracking ---------------------------------------------------
-    def backtrack(self) -> bool:
-        """Advance to the next unexplored leaf; False when exhausted."""
-        stack = self.stack
-        while len(stack) > self._pinned:
-            node = stack[-1]
-            if isinstance(node, _ValueNode):
-                if node.chosen + 1 < node.arity:
-                    node.chosen += 1
-                    self.staged_advance = "value_flip"
-                    return True
-                stack.pop()
-                continue
-            # Thread node: the chosen subtree is fully explored — its
-            # thread goes to sleep, then try the next awake sibling.
-            done = node.enabled[node.chosen]
-            node.sleep[done] = (
-                node.footprint if node.footprint is not None else OPAQUE
-            )
-            advanced = False
-            for index in range(node.chosen + 1, len(node.enabled)):
-                if node.enabled[index] not in node.sleep:
-                    node.chosen = index
-                    node.footprint = None
-                    advanced = True
-                    break
-            if advanced:
-                self.staged_advance = "sibling_advance"
-                return True
-            stack.pop()
-        return False
-
-
 def _explore_reduced(
-    explorer: Any,
+    explorer: DporExplorer,
     setup: SetupFn,
     max_steps: Optional[int],
     include_incomplete: bool,
@@ -487,10 +248,12 @@ def _explore_reduced(
 ) -> Iterator[RunResult]:
     """The shared replay loop behind every reduced exploration mode.
 
-    ``explorer`` supplies the strategy: ``begin_run`` arms it over a
-    fresh runtime, ``end_run`` runs any per-run analysis (the DPOR race
-    detection; a no-op for sleep sets), and ``backtrack`` advances the
-    persistent decision stack to the next unexplored leaf.  The
+    ``explorer`` (a :class:`~repro.substrate.dpor.DporExplorer`, or its
+    race-free :class:`~repro.substrate.dpor.SleepSetExplorer`) supplies
+    the strategy: ``begin_run`` arms it over a fresh runtime,
+    ``end_run`` runs any per-run analysis (the DPOR race detection; a
+    no-op for sleep sets), and ``backtrack`` advances the persistent
+    decision stack to the next unexplored leaf.  The
     explorer's optional ``ledger`` receives each attempt's disposition
     — every attempted schedule is recorded exactly once as executed or
     pruned, which is the reconciliation invariant ``repro explain``
@@ -523,7 +286,7 @@ def _explore_reduced(
                 # cut between the two leaves the books balanced.
                 ledger.record_advance(explorer.staged_advance)
                 explorer.staged_advance = None
-        scheduler = _SleepSetScheduler(explorer)
+        scheduler = _ReducedScheduler(explorer)
         runtime = setup(scheduler)
         explorer.begin_run(runtime)
         try:
@@ -643,18 +406,9 @@ def explore_all(
     """
     validate_exploration(reduction, preemption_bound=preemption_bound)
     if reduction != "none":
-        if reduction == "dpor":
-            from repro.substrate.dpor import DporExplorer
-
-            explorer: Any = DporExplorer(
-                pin_prefix, sleep_seed=sleep_seed, ledger=provenance
-            )
-        else:
-            explorer = _SleepSetExplorer(
-                pin_prefix, sleep_seed=sleep_seed, ledger=provenance
-            )
+        engine = DporExplorer if reduction == "dpor" else SleepSetExplorer
         return _explore_reduced(
-            explorer,
+            engine(pin_prefix, sleep_seed=sleep_seed, ledger=provenance),
             setup,
             max_steps,
             include_incomplete,
@@ -807,13 +561,29 @@ def shard_sleep_seeds(
         probes.append(
             (scheduler.agent, captured[0] if captured else OPAQUE)
         )
-    seeds: List[Dict[str, Footprint]] = []
-    for pin in range(arity):
-        seeds.append(
-            {
-                agent: footprint
-                for agent, footprint in probes[:pin]
-                if agent is not None
-            }
-        )
-    return seeds
+    return [
+        {agent: fp for agent, fp in probes[:pin] if agent is not None}
+        for pin in range(arity)
+    ]
+
+
+def shard_plan(
+    setup: SetupFn, max_steps: Optional[int], reduction: str
+) -> Tuple[List[List[int]], Optional[List[Dict[str, Footprint]]]]:
+    """First-decision shards: each shard's ``pin_prefix`` and sleep seed.
+
+    Shard ``k`` pins alternative ``k`` of the first decision point, or
+    one unpinned shard covers a program without a choice there.  Seeds
+    (:func:`shard_sleep_seeds`) are ``None`` unless the sweep is reduced
+    and sharded.  A pure function of ``setup``, so resume re-shards
+    identically.
+    """
+    scheduler = ReplayScheduler(())
+    setup(scheduler).run(max_steps=max_steps)
+    arity = scheduler.log[0][0] if scheduler.log else 0
+    if arity <= 1:
+        return [[]], None
+    pins = [[k] for k in range(arity)]
+    if reduction == "none":
+        return pins, None
+    return pins, shard_sleep_seeds(setup, arity)

@@ -239,6 +239,43 @@ class TestCampaignOptions:
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
+class TestDurableWorkers:
+    """Store-backed explore and verify campaigns run their shards in one
+    process, so ``--workers`` above one is refused with one line rather
+    than ignored."""
+
+    def _exit_message(self, *argv):
+        with pytest.raises(SystemExit) as excinfo:
+            _run(*argv)
+        message = excinfo.value.code
+        assert isinstance(message, str) and "\n" not in message
+        assert "--workers" in message
+        return message
+
+    def test_explore_store_refuses_workers(self, tmp_path):
+        store = tmp_path / "w.db"
+        self._exit_message(
+            "explore", "--workload", "exchanger2", "--quiet",
+            "--store", str(store), "--workers", "2",
+        )
+        assert not store.exists()
+
+    @pytest.mark.parametrize("kind", ["explore", "verify"])
+    def test_resume_refuses_workers(self, kind, tmp_path):
+        store = str(tmp_path / "w.db")
+        code = _run(
+            kind, "--workload", "exchanger2", "--reduction", "dpor",
+            "--quiet", "--store", store, "--campaign-id", "c1",
+            "--abort-after-checkpoints", "1",
+        )
+        assert code == 130
+        message = self._exit_message(
+            "resume", "c1", "--store", store, "--quiet", "--workers", "2"
+        )
+        assert kind in message
+        assert _run("resume", "c1", "--store", store, "--quiet") == 0
+
+
 class _PageChecker(HTMLParser):
     def __init__(self):
         super().__init__()

@@ -20,10 +20,14 @@ redundant suffix at all.
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
 from repro.checkers.parallel import explore_parallel
 from repro.checkers.verify import verify_cal, verify_linearizability
+from repro.obs.provenance import ExplorationLedger
 from repro.obs.tracing import TraceSink
 from repro.specs import ExchangerSpec, StackSpec
 from repro.store import (
@@ -35,8 +39,10 @@ from repro.store import (
 from repro.substrate.explore import (
     REDUCTIONS,
     explore_all,
+    shard_sleep_seeds,
     validate_exploration,
 )
+from repro.substrate.schedulers import ReplayScheduler
 from repro.workloads.programs import (
     StackWorkload,
     dual_stack_program,
@@ -452,3 +458,222 @@ class TestValidation:
                 driver_kwargs={"reduction": "dpor", "preemption_bound": 1},
             )
         assert store.get_campaign("bad2") is None
+
+
+# ----------------------------------------------------------------------
+# Golden engine identity
+# ----------------------------------------------------------------------
+#: The E22 quick cases: (name, setup factory, max_steps).
+E22_QUICK = [
+    workload[:3]
+    for workload in WORKLOADS
+    if workload[0]
+    in ("exchanger2", "dual-stack", "treiber-gc-sc", "treiber-gc-tso")
+]
+
+#: Seeds of the random-program identity sweep.
+IDENTITY_SEEDS = range(60)
+
+
+def _sweep_records(
+    setup, max_steps, reduction, pin_prefix=(), sleep_seed=None
+):
+    """One record per executed run, then the ledger snapshot."""
+    ledger = ExplorationLedger()
+    for run in explore_all(
+        setup,
+        max_steps=max_steps,
+        include_incomplete=True,
+        pin_prefix=pin_prefix,
+        reduction=reduction,
+        sleep_seed=sleep_seed,
+        provenance=ledger,
+    ):
+        yield (tuple(run.schedule), run.completed)
+    yield json.dumps(ledger.snapshot(), sort_keys=True)
+
+
+def _first_decision_arity(setup, max_steps):
+    scheduler = ReplayScheduler(())
+    setup(scheduler).run(max_steps=max_steps)
+    return scheduler.log[0][0] if scheduler.log else 0
+
+
+def _e22_case(factory, max_steps, reduction, sharded):
+    def records():
+        setup = factory()
+        if not sharded:
+            yield from _sweep_records(setup, max_steps, reduction)
+            return
+        arity = _first_decision_arity(setup, max_steps)
+        for pin, seed in enumerate(shard_sleep_seeds(setup, arity)):
+            yield ("shard", pin)
+            yield from _sweep_records(
+                setup, max_steps, reduction, pin_prefix=[pin], sleep_seed=seed
+            )
+
+    return records
+
+
+def _random_case(memory_model, with_faults, reduction):
+    def records():
+        for seed in IDENTITY_SEEDS:
+            program = random_program(
+                seed, memory_model=memory_model, with_faults=with_faults
+            )
+            yield ("seed", seed)
+            yield from _sweep_records(program.setup, 200, reduction)
+
+    return records
+
+
+IDENTITY_CASES = {
+    **{
+        f"e22-{name}-{reduction}{'-sharded' if sharded else ''}": _e22_case(
+            factory, max_steps, reduction, sharded
+        )
+        for name, factory, max_steps in E22_QUICK
+        for reduction in ("sleep-set", "dpor")
+        for sharded in (False, True)
+    },
+    **{
+        f"random-{memory_model}-{faults}-{reduction}": _random_case(
+            memory_model, faults == "faults", reduction
+        )
+        for memory_model in ("sc", "tso")
+        for faults in ("clean", "faults")
+        for reduction in ("sleep-set", "dpor")
+    },
+}
+
+#: Digests computed before the sleep-set engine became a subclass of
+#: the DPOR engine.
+IDENTITY_PINNED = {
+    "e22-dual-stack-dpor": (
+        69,
+        "a9130e27b69828d0831da641e5340ffdffa65c5e97305c1dce4b6009713c8846",
+    ),
+    "e22-dual-stack-dpor-sharded": (
+        72,
+        "880551ca94d4ba2401086bb2eac4fe33efec3f02f93499726c0e0a1988fbf08b",
+    ),
+    "e22-dual-stack-sleep-set": (
+        69,
+        "308888bb3481247ba2a242ca77f2ae11578c61580eb0ac03f772244bcc9dbf42",
+    ),
+    "e22-dual-stack-sleep-set-sharded": (
+        72,
+        "2f7d97084dad9d26e5fda4eb5586aa65822ae58ed8f2150e7ffdbf1cea236bff",
+    ),
+    "e22-exchanger2-dpor": (
+        59,
+        "b9de55b7613e4dca91a7f0d92aecfacfaa7ef1b013d74b2536165f841caa333e",
+    ),
+    "e22-exchanger2-dpor-sharded": (
+        62,
+        "2ea950e4e808f8a33a08424273029b26248efa5fd105eb7477c3b6e2b734d32c",
+    ),
+    "e22-exchanger2-sleep-set": (
+        59,
+        "40ff9980d08024ef3abdefab490160bf7126ba97dcac5cb3572d5f52562f37e1",
+    ),
+    "e22-exchanger2-sleep-set-sharded": (
+        62,
+        "ad8a6911fcae2d013c34b57964cf85b20de81ed3e340ba6ec52697034002577d",
+    ),
+    "e22-treiber-gc-sc-dpor": (
+        147,
+        "a3902d8d0d0632918f4266f66ae3f4a892b86c68b993d8b5370c8869f18c9f8b",
+    ),
+    "e22-treiber-gc-sc-dpor-sharded": (
+        150,
+        "fedd6edc124811ba5c7d737c04516cfe77d390d36929aa530710d33e17e6ac59",
+    ),
+    "e22-treiber-gc-sc-sleep-set": (
+        147,
+        "28f8fa56b6d63cb0ab6f032efd11b9c7fbca111fac695940b3a248665319d061",
+    ),
+    "e22-treiber-gc-sc-sleep-set-sharded": (
+        150,
+        "aaf7b78647e95eceb0c75d95a233042bdebc172150a277a3c5709dee1273dc11",
+    ),
+    "e22-treiber-gc-tso-dpor": (
+        147,
+        "a3902d8d0d0632918f4266f66ae3f4a892b86c68b993d8b5370c8869f18c9f8b",
+    ),
+    "e22-treiber-gc-tso-dpor-sharded": (
+        150,
+        "fedd6edc124811ba5c7d737c04516cfe77d390d36929aa530710d33e17e6ac59",
+    ),
+    "e22-treiber-gc-tso-sleep-set": (
+        293,
+        "2e01de6c381f595c690622273c51ac8734c1f263fe167e5326b05b457dbecfa1",
+    ),
+    "e22-treiber-gc-tso-sleep-set-sharded": (
+        296,
+        "c066621dbe605852b372fc60bf6738f7b91008d7ec26e797748a53764471ee06",
+    ),
+    "random-sc-clean-dpor": (
+        587,
+        "c3a2ecb00e04468a8e4364970844a1be3798c718fdeba206e57b9d80e84e14f3",
+    ),
+    "random-sc-clean-sleep-set": (
+        587,
+        "49a139141641e5a807799198024478778d3374c8e0d1395b8957a1c1fdd97d55",
+    ),
+    "random-sc-faults-dpor": (
+        1542,
+        "3c33ca118aa6d98549bbe58ae982a7c619a8bedf1daebc857650fc642a7e34eb",
+    ),
+    "random-sc-faults-sleep-set": (
+        1542,
+        "f1f2ad9bc64e9bc2d37c456c44c0a6a24ade978ba53e483636c489e5c5fadd44",
+    ),
+    "random-tso-clean-dpor": (
+        357,
+        "2a5be0093bcd42386778802f28a03730b20a3371655f66269c4197379258b824",
+    ),
+    "random-tso-clean-sleep-set": (
+        370,
+        "9ccc67e4162d59cd34bb1efb187de5653fc5f5938dddaf0568631d86b7bf4a2a",
+    ),
+    "random-tso-faults-dpor": (
+        1051,
+        "89f68dc2493f0ed2405958f555615fb32e8a34825e7716ac8365b317e9873d40",
+    ),
+    "random-tso-faults-sleep-set": (
+        1053,
+        "a5dd4e3a9188e2009d8113531cd0981e28d1f53625b196211784f797c7efb3a2",
+    ),
+}
+
+
+def identity_digest(name):
+    """(number of records, sha256 over them) for one identity case."""
+    sha = hashlib.sha256()
+    count = 0
+    for record in IDENTITY_CASES[name]():
+        sha.update(repr(record).encode())
+        sha.update(b"\n")
+        count += 1
+    return count, sha.hexdigest()
+
+
+class TestEngineIdentity:
+    """Golden digests of both reduced engines: every run's schedule and
+    ``completed`` flag, plus the provenance ledger, on the E22 quick
+    cases (unsharded, and sharded with sleep seeds) and on random
+    programs under SC and TSO, with and without faults.  Any change to
+    which schedules an engine visits, in which order, or how it books
+    them shows up as a digest diff.  Reprint the digests with
+    ``PYTHONPATH=src python -m tests.test_dpor``."""
+
+    @pytest.mark.parametrize("name", sorted(IDENTITY_CASES))
+    def test_matches_pinned_digest(self, name):
+        assert identity_digest(name) == IDENTITY_PINNED[name]
+
+
+if __name__ == "__main__":
+    for case in sorted(IDENTITY_CASES):
+        count, sha = identity_digest(case)
+        print(f'    "{case}": (\n        {count},\n        "{sha}",\n    ),')
