@@ -13,7 +13,9 @@ active, if any.  Campaigns optionally inject faults
 mid-operation, delay a hot loop, fail a CAS spuriously — and the
 pending-aware checkers still deliver verdicts for the survivors.
 Failures are greedily shrunk (:func:`shrink_failure`): drop faults and
-truncate the schedule while the failure persists.
+truncate the schedule while the failure persists.  Failures of one bug
+shrink along the same path, so each campaign call keeps one table of
+shrink outcomes and replays every distinct candidate once.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from repro.obs.coverage import CoverageTracker
 from repro.obs.metrics import Metrics, observe_run
 from repro.obs.provenance import ExplorationLedger
 from repro.obs.report import CounterexampleReport
-from repro.substrate.explore import SetupFn, run_random, run_schedule
+from repro.substrate.explore import SetupFn, run_schedule
 from repro.substrate.faults import FaultCampaign, FaultPlan
 from repro.substrate.runtime import RunResult
 from repro.substrate.schedulers import PrefixRandomScheduler, RandomScheduler
@@ -54,6 +56,15 @@ Provenance = Optional[Dict[str, Any]]
 
 #: Schedule-guidance modes accepted by the fuzz drivers.
 GUIDANCE_MODES = ("uniform", "greybox")
+
+#: Bound on the entries of one shrink table (see :func:`shrink_failure`).
+_SHRINK_CAP = 4096
+
+#: A shrink table: normalized (prefix, plan) → the replay's outcome.
+ShrinkTable = Dict[
+    Tuple[Tuple[int, ...], Optional[FaultPlan]],
+    Optional[Tuple[History, str, List[int]]],
+]
 
 
 def _engine_for(guidance: str, corpus, ledger=None):
@@ -269,6 +280,7 @@ def shrink_failure(
     max_steps: Optional[int] = None,
     metrics=None,
     trace=None,
+    replays: Optional[ShrinkTable] = None,
 ) -> FuzzFailure:
     """Greedy counterexample minimization.
 
@@ -283,16 +295,27 @@ def shrink_failure(
     gets one ``shrink_step`` event per accepted mutation.  Shrink replays
     deliberately do **not** feed the campaign's run/search counters —
     those stay a pure function of the seed range.
+
+    ``replays`` is an optional shrink table shared by the failures of
+    one campaign call.  A candidate's outcome is a pure function of
+    (setup, prefix, plan, ``max_steps``, ``fails``), and the replay
+    scheduler takes decision 0 past the prefix, so the table keys each
+    candidate on its prefix with trailing zeros stripped plus its plan,
+    and stores ``None`` (passes or cut) or ``(history, reason,
+    schedule)``.  A candidate found in the table is not replayed; it
+    still counts as an attempt, and an accepted one still counts and
+    emits as above, so stats and traces do not depend on the table.
+    The caller must not share a table across different setups, step
+    bounds or ``fails`` predicates.  At :data:`_SHRINK_CAP` entries the
+    table is cleared wholesale.
     """
     plan = failure.plan
     prefix = list(failure.schedule)
     best = failure
 
-    def attempt(
+    def replay_candidate(
         candidate_prefix: Sequence[int], candidate_plan: Optional[FaultPlan]
-    ) -> Optional[FuzzFailure]:
-        if metrics is not None:
-            metrics.count("shrink.attempts")
+    ) -> Optional[Tuple[History, str, List[int]]]:
         run = run_schedule(
             setup,
             candidate_prefix,
@@ -307,8 +330,32 @@ def shrink_failure(
         reason = fails(run)
         if reason is None:
             return None
+        return run.history, reason, run.schedule
+
+    def attempt(
+        candidate_prefix: Sequence[int], candidate_plan: Optional[FaultPlan]
+    ) -> Optional[FuzzFailure]:
+        if metrics is not None:
+            metrics.count("shrink.attempts")
+        if replays is None:
+            outcome = replay_candidate(candidate_prefix, candidate_plan)
+        else:
+            end = len(candidate_prefix)
+            while end and candidate_prefix[end - 1] == 0:
+                end -= 1
+            key = (tuple(candidate_prefix[:end]), candidate_plan)
+            if key in replays:
+                outcome = replays[key]
+            else:
+                outcome = replay_candidate(candidate_prefix, candidate_plan)
+                if len(replays) >= _SHRINK_CAP:
+                    replays.clear()
+                replays[key] = outcome
+        if outcome is None:
+            return None
+        history, reason, schedule = outcome
         return FuzzFailure(
-            failure.seed, run.history, reason, run.schedule, candidate_plan
+            failure.seed, history, reason, list(schedule), candidate_plan
         )
 
     def accept(candidate: FuzzFailure) -> None:
@@ -458,6 +505,9 @@ def _fuzz(
     campaign = _campaign_registry(metrics)
     audit = _campaign_ledger(provenance)
     engine = _engine_for(guidance, corpus, audit)
+    # One shrink table per call: setup, max_steps and the check policy
+    # are fixed here, so every failure's candidates share one key space.
+    replays: ShrinkTable = {}
     started = time.monotonic()
 
     def diagnose(run: RunResult, stats=None, sink=None):
@@ -570,6 +620,7 @@ def _fuzz(
                     max_steps=max_steps,
                     metrics=campaign,
                     trace=trace,
+                    replays=replays,
                 )
             failure.report = CounterexampleReport.from_failure(
                 failure, oid=spec.oid, max_steps=max_steps

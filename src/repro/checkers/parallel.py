@@ -7,14 +7,12 @@ pinned prefix), so parallelism is a pure partitioning problem:
 
 * **Fuzz campaigns** (:func:`fuzz_cal_parallel`,
   :func:`fuzz_linearizability_parallel`) split the seed sequence into
-  contiguous chunks — one per worker — run each chunk with shrinking
-  disabled, and merge the per-chunk :class:`~repro.checkers.fuzz.FuzzReport`
-  tallies.  Failures keep their position in the original seed order, so
-  the *first* failure is identical to the sequential runner's first
-  failure regardless of worker count; it is then re-run and shrunk **in
-  the parent** through the exact sequential code path
-  (:func:`~repro.checkers.fuzz.fuzz_cal` on that single seed), which
-  also re-establishes the sequential report's shrunk schedule.
+  contiguous chunks — one per worker — run each chunk through the
+  sequential driver, shrinking included, and merge the per-chunk
+  :class:`~repro.checkers.fuzz.FuzzReport` tallies.  A uniform failure
+  and its shrink are a pure function of its seed, so every failure,
+  in its original seed order, is identical to the sequential runner's
+  regardless of worker count.
 
 * **Explore campaigns** (:func:`explore_parallel`) shard the schedule
   space by the first decision point: a probe run discovers its arity
@@ -386,7 +384,6 @@ def _fuzz_parallel(
     seeds: Sequence[int] = range(50),
     workers: Optional[int] = None,
     deadline: Optional[float] = None,
-    shrink: bool = True,
     metrics=None,
     trace=None,
     coverage=None,
@@ -405,13 +402,12 @@ def _fuzz_parallel(
     """The parallel campaign behind both fuzz runners.
 
     ``check`` carries the per-run keywords (``max_steps``, the family's
-    ``check_witness``/``search``/``view``, ``faults``, …) forwarded to
-    the sequential driver ``fuzz_<family>`` — looked up on its module at
-    call time, so a rebound driver is the one that runs.
+    ``check_witness``/``search``/``view``, ``faults``, ``shrink``, …)
+    forwarded to the sequential driver ``fuzz_<family>`` — looked up on
+    its module at call time, so a rebound driver is the one that runs.
     """
     driver = getattr(fuzz_drivers, f"fuzz_{family}")
     seeds = list(seeds)
-    greybox = guidance != "uniform"
     workers = default_workers() if workers is None else workers
     deadline_at = None if deadline is None else time.monotonic() + deadline
     # Checkpointed campaigns chunk by the checkpoint cadence — a pure
@@ -445,15 +441,10 @@ def _fuzz_parallel(
                 chunk_coverage = type(coverage)(
                     prefix_depth=coverage.prefix_depth, offset=offset
                 )
-            # Greybox chunks shrink in the worker: a corpus-guided run is
-            # a function of (corpus state, seed), and the chunk's evolved
-            # corpus does not exist in the parent, so the parent's
-            # confirm re-run could not reproduce the failure there.
             return driver(
                 setup,
                 spec,
                 seeds=chunk,
-                shrink=shrink if greybox else False,
                 deadline_at=deadline_at,
                 metrics=type(metrics)() if metrics is not None else None,
                 coverage=chunk_coverage,
@@ -532,28 +523,11 @@ def _fuzz_parallel(
                 index, chunks[index], offsets[index], partial
             )
         by_index[index] = partial
+    # Contiguous chunks merged in order ⇒ merged.failures is already in
+    # original seed order, each failure shrunk in its own chunk.
     merged = FuzzReport()
     for index in range(len(chunks)):
         merged.merge(by_index[index])
-    # Contiguous chunks merged in order ⇒ merged.failures is already in
-    # original seed order; the first entry is the sequential winner.
-    # Greybox failures arrive already shrunk from their worker (see
-    # task_for) — no parent confirm re-run, since replaying the seed
-    # without the chunk's corpus state would not reproduce the failure.
-    if merged.failures and shrink and not greybox:
-        first = merged.failures[0]
-        # Confirm re-run gets metrics=None: the campaign stats must keep
-        # covering each seed exactly once (shrink replays are excluded
-        # from stats in the sequential driver for the same reason).
-        confirm = driver(
-            setup,
-            spec,
-            seeds=[first.seed],
-            shrink=True,
-            **check,
-        )
-        if confirm.failures:  # deterministic, but never drop a failure
-            merged.failures[0] = confirm.failures[0]
     return _fold_back(merged, metrics, coverage, provenance)
 
 
@@ -562,10 +536,12 @@ def fuzz_cal_parallel(setup: SetupFn, spec: CASpec, **kwargs) -> FuzzReport:
 
     Takes the driver's keywords, with ``workers`` (default: the CPU
     count) and a ``deadline`` in seconds in place of ``deadline_at``,
-    plus the durability hooks below.  The merged report's tallies cover all chunks; its first failure is
-    bit-identical (seed + schedule + plan) to the sequential runner's,
-    regardless of ``workers`` — shrinking happens in the parent, on the
-    winning seed only.
+    plus the durability hooks below.  The merged report's tallies cover
+    all chunks, and under uniform guidance every failure is
+    bit-identical (seed + schedule + plan + history) to the sequential
+    runner's, regardless of ``workers``: each chunk shrinks its own
+    failures exactly as the sequential driver does, so ``shrink.*``
+    counters total the sequential campaign's too.
 
     With ``metrics``, each worker records into a private registry and
     the merged snapshots (``report.stats``) total exactly what the
@@ -590,10 +566,10 @@ def fuzz_cal_parallel(setup: SetupFn, spec: CASpec, **kwargs) -> FuzzReport:
 
     ``guidance="greybox"`` gives every chunk its own engine warm-started
     from the shared ``corpus`` snapshot; evolved chunk corpora merge
-    into ``report.corpus``.  Greybox failures are shrunk inside their
-    worker and the first-failure identity guarantee is relative to a
-    sequential campaign over the same *chunk* (guided proposals depend
-    on the chunk-local corpus state, not the seed alone).
+    into ``report.corpus``.  The failure identity guarantee is then
+    relative to a sequential campaign over the same *chunk* (guided
+    proposals depend on the chunk-local corpus state, not the seed
+    alone).
 
     ``provenance`` (an :class:`~repro.obs.provenance.ExplorationLedger`)
     follows the coverage discipline: each worker records into a private
@@ -608,7 +584,7 @@ def fuzz_linearizability_parallel(
     setup: SetupFn, spec: SequentialSpec, **kwargs
 ) -> FuzzReport:
     """:func:`~repro.checkers.fuzz.fuzz_linearizability` fanned across
-    workers, with the same determinism guarantees (first failure, merged
+    workers, with the same determinism guarantees (every failure, merged
     stats and merged coverage), durability hooks (checkpoint, resume,
     dedup, supervised retry/quarantine) and guidance modes as
     :func:`fuzz_cal_parallel`."""

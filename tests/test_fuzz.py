@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.checkers import fuzz_cal, fuzz_linearizability
+from repro.checkers import fuzz_cal, fuzz_linearizability, shrink_failure
 from repro.objects import (
     POP_SENTINEL,
     EliminationStack,
@@ -17,6 +17,8 @@ from repro.rg.views import (
 )
 from repro.specs import ExchangerSpec, QueueSpec, StackSpec
 from repro.substrate import Program, World
+from repro.substrate.explore import run_schedule
+from repro.substrate.faults import FaultCampaign
 from repro.workloads.programs import exchanger_program
 
 
@@ -204,3 +206,121 @@ class TestFuzzLinearizability:
         assert len(shrunk.failures) == len(unshrunk.failures)
         for small, big in zip(shrunk.failures, unshrunk.failures):
             assert len(small.schedule) <= len(big.schedule)
+
+
+#: Shrink-table differential cases: (guidance, faults) on treiber-reuse.
+#: Greybox finds many failures of one bug; the fault campaign makes plans
+#: part of every table key.
+_TABLE_CASES = {
+    "greybox": ("greybox", None),
+    "fault-campaign": ("uniform", FaultCampaign(crashes=1, delays=1, window=8)),
+}
+
+
+def _normalized(schedule, plan):
+    """A shrink-table key: the prefix without trailing 0s, and the plan."""
+    prefix = list(schedule)
+    while prefix and prefix[-1] == 0:
+        prefix.pop()
+    return tuple(prefix), plan
+
+
+class TestShrinkTable:
+    """Shrinking through the campaign's one shrink table is a pure
+    speed-up: failures, counters and ``shrink_step`` events equal those
+    of a fresh table per failure, and of no table at all."""
+
+    def _campaign(self, monkeypatch, case, table):
+        """Fuzz treiber-reuse with each failure shrunk through ``table``:
+        ``"shared"`` (the campaign's own), ``"fresh"`` (a new one per
+        failure) or ``None``.  Returns the report, its counters, the
+        ``shrink_step`` events, the replayed keys and the tables used."""
+        from repro.checkers import fuzz as fuzz_module
+        from repro.cli import WORKLOADS
+        from repro.obs.metrics import Metrics
+        from repro.obs.tracing import TraceSink
+
+        replayed, tables = [], []
+
+        def counted(setup, schedule, **kwargs):
+            replayed.append(_normalized(schedule, kwargs.get("faults")))
+            return run_schedule(setup, schedule, **kwargs)
+
+        def tabled(*args, replays, **kwargs):
+            if table != "shared":
+                replays = {} if table == "fresh" else None
+            tables.append(replays)
+            return shrink_failure(*args, replays=replays, **kwargs)
+
+        monkeypatch.setattr(fuzz_module, "run_schedule", counted)
+        monkeypatch.setattr(fuzz_module, "shrink_failure", tabled)
+        guidance, faults = _TABLE_CASES[case]
+        workload = WORKLOADS["treiber-reuse"]
+        metrics, sink = Metrics(), TraceSink()
+        report = fuzz_linearizability(
+            workload.make_setup(),
+            workload.make_spec(),
+            seeds=range(600),
+            max_steps=workload.max_steps,
+            yield_bias=workload.yield_bias,
+            guidance=guidance,
+            faults=faults,
+            metrics=metrics,
+            trace=sink,
+        )
+        steps = [e for e in sink.events if e["event"] == "shrink_step"]
+        return report, metrics.counters, steps, replayed, tables
+
+    @pytest.mark.parametrize("case", sorted(_TABLE_CASES))
+    def test_shared_table_changes_nothing_but_replays(self, monkeypatch, case):
+        shared = self._campaign(monkeypatch, case, "shared")
+        report, counters, steps, replayed, tables = shared
+        assert len(report.failures) > 10
+        assert counters["shrink.accepted"] > 0
+        assert len({id(t) for t in tables}) == 1  # one table per campaign
+        for table in ("fresh", None):
+            other, other_counters, other_steps, other_replayed, _ = (
+                self._campaign(monkeypatch, case, table)
+            )
+            assert [
+                (f.seed, f.schedule, f.plan, f.history, f.reason)
+                for f in report.failures
+            ] == [
+                (f.seed, f.schedule, f.plan, f.history, f.reason)
+                for f in other.failures
+            ]
+            assert counters == other_counters
+            assert steps == other_steps
+        # ``other_replayed`` is the untabled campaign's: one replay per
+        # attempt.  The shared table replays each distinct key once.
+        assert len(other_replayed) == counters["shrink.attempts"]
+        assert len(replayed) <= len(set(other_replayed))
+        assert len(replayed) == len(set(replayed))
+        assert len(replayed) < counters["shrink.attempts"]
+        if case == "fault-campaign":
+            assert all(plan is not None for _, plan in replayed)
+
+    def test_a_full_table_is_cleared_without_changing_results(self, monkeypatch):
+        from repro.checkers import fuzz as fuzz_module
+
+        report, counters, steps, replayed, _ = self._campaign(
+            monkeypatch, "greybox", "shared"
+        )
+        monkeypatch.setattr(fuzz_module, "_SHRINK_CAP", 8)
+        capped, capped_counters, capped_steps, capped_replayed, tables = (
+            self._campaign(monkeypatch, "greybox", "shared")
+        )
+        assert len(tables[0]) <= 8
+        assert len(capped_replayed) > len(replayed)  # evictions cost replays
+        assert [(f.seed, f.schedule, f.history) for f in capped.failures] == [
+            (f.seed, f.schedule, f.history) for f in report.failures
+        ]
+        assert capped_counters == counters and capped_steps == steps
+
+    def test_hits_never_alias_a_stored_schedule(self, monkeypatch):
+        report = self._campaign(monkeypatch, "greybox", "shared")[0]
+        schedules = [f.schedule for f in report.failures]
+        assert len({id(s) for s in schedules}) == len(schedules)
+        schedules[0].append(7)
+        again = self._campaign(monkeypatch, "greybox", "shared")[0]
+        assert [f.schedule for f in again.failures][1:] == schedules[1:]

@@ -24,6 +24,7 @@ from repro.checkers.parallel import _chunk
 from repro.core.catrace import swap_element
 from repro.objects.base import operation
 from repro.objects.exchanger import Exchanger
+from repro.obs.metrics import Metrics
 from repro.specs import ExchangerSpec, RegisterSpec
 from repro.substrate import Program, World
 from repro.substrate.explore import ExploreBudget, explore_all
@@ -92,6 +93,36 @@ class TestFuzzDeterminism:
         assert first_par.schedule == first_seq.schedule
         assert first_par.reason == first_seq.reason
         assert first_par.history == first_seq.history
+
+    @pytest.mark.parametrize(
+        "workers, every", [(1, 7), (1, 200), (1, 450), (2, 0), (2, 200)]
+    )
+    def test_every_chunked_failure_equals_inline(self, workers, every):
+        """Chunks shrink their own failures, so every failure — not just
+        the first — and the shrink counters equal the inline campaign's."""
+        spec = ExchangerSpec("E")
+        kwargs = dict(seeds=range(450), max_steps=300)
+        inline_metrics, chunked_metrics = Metrics(), Metrics()
+        inline = fuzz_cal(broken_setup, spec, metrics=inline_metrics, **kwargs)
+        chunked = fuzz_cal_parallel(
+            broken_setup,
+            spec,
+            workers=workers,
+            checkpoint_every=every,
+            metrics=chunked_metrics,
+            **kwargs,
+        )
+        assert len(inline.failures) == 450
+        assert [
+            (f.seed, f.schedule, f.plan, f.history, f.reason)
+            for f in chunked.failures
+        ] == [
+            (f.seed, f.schedule, f.plan, f.history, f.reason)
+            for f in inline.failures
+        ]
+        assert inline_metrics.counters["shrink.accepted"] > 0
+        assert chunked_metrics.counters == inline_metrics.counters
+        assert chunked_metrics.maxima == inline_metrics.maxima
 
     def test_linearizability_variant(self):
         setup = exchanger_program([1, 2])
