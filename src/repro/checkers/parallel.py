@@ -3,7 +3,9 @@ across ``multiprocessing`` workers.
 
 The searches themselves are deterministic per input (a fuzz run is a
 pure function of its seed; an explore shard is a pure function of its
-pinned prefix), so parallelism is a pure partitioning problem:
+pinned prefix), so parallelism is a pure partitioning problem, and every
+campaign — fuzz, explore and verify, inline or store-backed — runs its
+chunks through one runner, :func:`_run_chunks`:
 
 * **Fuzz campaigns** (:func:`fuzz_cal_parallel`,
   :func:`fuzz_linearizability_parallel`) split the seed sequence into
@@ -14,13 +16,21 @@ pinned prefix), so parallelism is a pure partitioning problem:
   in its original seed order, is identical to the sequential runner's
   regardless of worker count.
 
-* **Explore campaigns** (:func:`explore_parallel`) shard the schedule
-  space by the first decision point: a probe run discovers its arity
-  (:func:`~repro.substrate.explore.shard_plan`), then each worker
+* **Explore campaigns** (:func:`explore_parallel`, and the durable
+  explore/verify campaigns of :mod:`repro.store.campaigns`) shard the
+  schedule space by the first decision point: a probe run discovers its
+  arity (:func:`~repro.substrate.explore.shard_plan`), then each worker
   enumerates one ``pin_prefix=[k]`` subtree
   (:func:`~repro.substrate.explore.explore_all`).  Concatenating shard
   results in pin order reproduces exactly the sequential enumeration
   order, so downstream consumers cannot tell the difference.
+
+The runner commits chunks in the parent in *chunk-index order* — a
+chunk that finishes early waits in memory until the chunks before it
+land — so a checkpointed campaign writes the same chunks in the same
+order at any worker count.  A chunk gets the campaign's trace sink only
+when it runs in the parent; a forked child gets ``None`` (forked writers
+would interleave lines), so its per-run events are not traced.
 
 **Budget propagation.**  Campaigns take a ``deadline`` (seconds); the
 parent converts it to an absolute ``time.monotonic()`` instant that is
@@ -46,7 +56,7 @@ their tasks quarantined, salvaging every completed partial.
 (see :class:`repro.store.checkpoint.CheckpointWriter`): with
 ``checkpoint_every`` the seed sequence is chunked by that count instead
 of per worker, each finished chunk's partial report is persisted as it
-completes, and ``completed`` (chunk index → restored partial) lets a
+is committed, and ``completed`` (chunk index → restored partial) lets a
 resumed campaign skip work already in the store.  Because the merge is
 associative and order-restoring, a resumed campaign's merged report
 equals an uninterrupted run's exactly.
@@ -64,8 +74,9 @@ import multiprocessing
 import os
 import time
 import traceback
+from collections import deque
 from multiprocessing.connection import wait as _wait_ready
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, TypeVar
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.checkers import fuzz as fuzz_drivers
 from repro.checkers.caspec import CASpec
@@ -82,8 +93,6 @@ from repro.substrate.explore import (
 )
 from repro.substrate.runtime import RunResult
 
-_T = TypeVar("_T")
-
 
 def default_workers() -> int:
     """Worker count when the caller does not choose: the CPU count."""
@@ -97,9 +106,9 @@ def _fork_context() -> Optional[multiprocessing.context.BaseContext]:
         return None
 
 
-def _child_main(conn, task: Callable[[], Any]) -> None:
+def _child_main(conn, task: Callable[[Any], Any]) -> None:
     try:
-        conn.send(("ok", task()))
+        conn.send(("ok", task(None)))
     except BaseException:  # noqa: BLE001 — reported to the parent
         # The full traceback, not just repr(exc): worker failures must
         # be diagnosable from the parent's exception alone.
@@ -113,8 +122,9 @@ class WorkerFailure:
 
     Carries enough to report the loss explicitly: the task index, the
     last error (why the worker died or was killed), and how many
-    attempts were made.  Campaign runners convert these into ``skipped``
-    tallies plus ``quarantined`` report entries — never silent loss.
+    attempts were made.  Fuzz campaigns turn one into ``skipped`` seeds,
+    explore campaigns into a tripped budget, and a durable explore or
+    verify stops on one — never silent loss.
     """
 
     __slots__ = ("index", "error", "attempts")
@@ -150,29 +160,31 @@ def _terminate_all(active: Mapping[Any, Tuple[int, Any, int, float]]) -> None:
 
 
 def _map_forked(
-    tasks: Sequence[Callable[[], _T]],
+    tasks: Sequence[Callable[[Any], Any]],
     workers: int,
+    on_result: Callable[[int, Any], None],
     trace=None,
-    on_result: Optional[Callable[[int, Any], None]] = None,
     task_timeout: Optional[float] = None,
     max_retries: int = DEFAULT_MAX_RETRIES,
     retry_backoff: float = DEFAULT_RETRY_BACKOFF,
     deadline_at: Optional[float] = None,
     deadline_grace: float = DEFAULT_DEADLINE_GRACE,
-) -> List[_T]:
+) -> None:
     """Run ``tasks`` across at most ``workers`` forked processes.
 
     Tasks are closures (fork shares the parent's memory, so nothing is
-    pickled on the way in); results come back over pipes and must be
-    picklable.  Falls back to inline execution when forking is
-    unavailable or pointless.
+    pickled on the way in) called with a trace sink: ``trace`` when the
+    task runs in the parent, ``None`` in a forked child.  Results come
+    back over pipes and must be picklable; ``on_result(index, result)``
+    receives each one in the parent as its task finishes.  Falls back to
+    inline execution when forking is unavailable or pointless.
 
     This is a *supervisor loop*:
 
     * a worker that dies without a result (SIGKILL, OOM) is retried
       with exponential backoff (``retry_backoff * 2**attempt``) up to
       ``max_retries`` times, then the task is quarantined — its result
-      slot holds a :class:`WorkerFailure` instead of aborting the run;
+      is a :class:`WorkerFailure` instead of aborting the run;
     * a task exceeding ``task_timeout`` seconds on one attempt has its
       worker killed and counts as a death (retry, then quarantine);
     * once ``deadline_at`` (+ ``deadline_grace``) passes, still-running
@@ -181,35 +193,21 @@ def _map_forked(
     * a Python exception *inside* a task is deterministic — it aborts
       with the worker's full traceback (no retry).
 
-    ``trace`` (parent-owned, never shared with children — forked writers
+    ``trace`` (parent-owned, never handed to children — forked writers
     would interleave lines) gets ``worker_spawn``/``worker_done`` plus
     ``worker_retry``/``worker_quarantine`` lifecycle events.
-    ``on_result`` is called in the parent with ``(index, result)`` as
-    each task finishes (both forked and inline paths; quarantined tasks
-    deliver their :class:`WorkerFailure`) — the live-progress and
-    checkpoint hook used by the campaign runners.
     """
     context = _fork_context()
     if context is None or workers <= 1 or len(tasks) <= 1:
         if trace is not None:
             trace.emit("workers_inline", tasks=len(tasks))
-        results = []
         for index, task in enumerate(tasks):
-            result = task()
-            if on_result is not None:
-                on_result(index, result)
-            results.append(result)
-        return results
-    results: List[Any] = [None] * len(tasks)
+            on_result(index, task(trace))
+        return
     pending: List[Tuple[int, int]] = [(i, 0) for i in range(len(tasks))]
     not_before: Dict[int, float] = {}  # task index -> earliest retry instant
     # conn -> (task index, process, attempt, started_at)
     active: Dict[Any, Tuple[int, Any, int, float]] = {}
-
-    def settle(index: int, result: Any) -> None:
-        results[index] = result
-        if on_result is not None:
-            on_result(index, result)
 
     def worker_died(index: int, attempt: int, error: str, retryable: bool) -> None:
         if retryable and attempt < max_retries:
@@ -224,14 +222,14 @@ def _map_forked(
             trace.emit(
                 "worker_quarantine", task=index, attempts=attempt + 1, error=error
             )
-        settle(index, WorkerFailure(index, error, attempt + 1))
+        on_result(index, WorkerFailure(index, error, attempt + 1))
 
+    # Past this instant, running workers are killed and nothing starts.
+    kill_at = float("inf") if deadline_at is None else deadline_at + deadline_grace
     try:
         while pending or active:
             now = time.monotonic()
-            expired = (
-                deadline_at is not None and now >= deadline_at + deadline_grace
-            )
+            expired = now >= kill_at
             if expired and pending:
                 # Salvage mode: nothing new starts; what finished, stays.
                 for index, attempt in pending:
@@ -289,7 +287,7 @@ def _map_forked(
                 if trace is not None:
                     trace.emit("worker_done", task=index, status=status)
                 if status == "ok":
-                    settle(index, payload)
+                    on_result(index, payload)
                 elif status == "error":
                     # Deterministic failure inside the task: abort loudly
                     # with the child's full traceback.
@@ -298,9 +296,7 @@ def _map_forked(
                 else:
                     worker_died(index, attempt, payload, retryable=True)
             now = time.monotonic()
-            expired = (
-                deadline_at is not None and now >= deadline_at + deadline_grace
-            )
+            expired = now >= kill_at
             for conn, (index, process, attempt, started) in list(active.items()):
                 timed_out = (
                     task_timeout is not None and now - started >= task_timeout
@@ -323,7 +319,38 @@ def _map_forked(
         # SIGINT (or any other escape) must not leak forked children.
         _terminate_all(active)
         raise
-    return results
+
+
+def _run_chunks(
+    tasks: Sequence[Callable[[Any], Any]],
+    workers: int,
+    commit: Callable[[int, Any], Any],
+    completed: Optional[Mapping[int, Any]] = None,
+    **supervise: Any,
+) -> List[Any]:
+    """The one chunk runner behind every campaign.
+
+    Runs the tasks of the chunks missing from ``completed`` (chunk index
+    → value restored from a checkpoint) with :func:`_map_forked`, which
+    takes the ``supervise`` keywords, and hands each result (or
+    :class:`WorkerFailure`) to ``commit(index, result)`` in chunk-index
+    order.  ``commit`` checkpoints the chunk and returns what the
+    campaign keeps of it, or raises to stop the campaign.  Returns the
+    kept values of every chunk, in chunk order.
+    """
+    kept = dict(completed or {})
+    remaining = [index for index in range(len(tasks)) if index not in kept]
+    due = deque(remaining)
+    landed: Dict[int, Any] = {}
+
+    def land(local_index: int, result: Any) -> None:
+        landed[remaining[local_index]] = result
+        while due and due[0] in landed:
+            index = due.popleft()
+            kept[index] = commit(index, landed.pop(index))
+
+    _map_forked([tasks[index] for index in remaining], workers, land, **supervise)
+    return [kept[index] for index in range(len(tasks))]
 
 
 # ----------------------------------------------------------------------
@@ -356,24 +383,6 @@ def _chunk_every(seeds: Sequence[int], every: int) -> List[List[int]]:
         return [[]]
     every = max(1, every)
     return [seeds[i : i + every] for i in range(0, len(seeds), every)]
-
-
-def _quarantine_report(
-    index: int, chunk: List[int], offset: int, failure: WorkerFailure
-) -> FuzzReport:
-    """The explicit ``skipped`` stand-in for a quarantined fuzz chunk."""
-    report = FuzzReport()
-    report.skipped = len(chunk)
-    report.quarantined = [
-        {
-            "chunk": index,
-            "seed_start": offset,
-            "seed_count": len(chunk),
-            "error": failure.error,
-            "attempts": failure.attempts,
-        }
-    ]
-    return report
 
 
 def _fuzz_parallel(
@@ -429,13 +438,13 @@ def _fuzz_parallel(
         offsets.append(total)
         total += len(chunk)
 
-    def task_for(chunk: List[int], offset: int) -> Callable[[], FuzzReport]:
+    def task_for(chunk: List[int], offset: int) -> Callable[[Any], FuzzReport]:
         # Each worker owns a private registry/tracker (created inside the
         # forked closure, of the caller's classes so profiling hooks
         # survive the fork); snapshots ride back on the report and the
         # parent merges them — merging is associative and commutative, so
         # the totals equal a sequential campaign over the same seeds.
-        def run_chunk() -> FuzzReport:
+        def run_chunk(sink) -> FuzzReport:
             chunk_coverage = None
             if coverage is not None:
                 chunk_coverage = type(coverage)(
@@ -447,6 +456,7 @@ def _fuzz_parallel(
                 seeds=chunk,
                 deadline_at=deadline_at,
                 metrics=type(metrics)() if metrics is not None else None,
+                trace=sink,
                 coverage=chunk_coverage,
                 dedup=dedup,
                 guidance=guidance,
@@ -456,7 +466,6 @@ def _fuzz_parallel(
             )
         return run_chunk
 
-    remaining = [index for index in range(len(chunks)) if index not in completed]
     finished = {"chunks": 0, "attempted": 0}
     progress = FuzzReport()
     seen_histories: set = set()
@@ -464,9 +473,25 @@ def _fuzz_parallel(
         finished["chunks"] += 1
         finished["attempted"] += len(chunks[index])
 
-    def emit_progress(partial: FuzzReport) -> None:
+    def commit(index: int, partial) -> FuzzReport:
+        chunk, offset = chunks[index], offsets[index]
+        if isinstance(partial, WorkerFailure):
+            if checkpoint is not None:
+                checkpoint.chunk_quarantined(
+                    index, offset, len(chunk), partial.error
+                )
+            # The lost chunk's explicit stand-in: every seed skipped.
+            lost = {
+                "chunk": index, "seed_start": offset, "seed_count": len(chunk),
+                "error": partial.error, "attempts": partial.attempts,
+            }
+            partial = FuzzReport(skipped=len(chunk), quarantined=[lost])
+        elif checkpoint is not None:
+            checkpoint.chunk_done(index, offset, len(chunk), partial)
+        finished["chunks"] += 1
+        finished["attempted"] += len(chunk)
         if trace is None or not progress_every:
-            return
+            return partial
         progress.runs += partial.runs
         progress.unknown += partial.unknown
         progress.skipped += partial.skipped
@@ -489,45 +514,22 @@ def _fuzz_parallel(
             elapsed_s=time.monotonic() - started,
             **live,
         )
+        return partial
 
-    def chunk_done(local_index: int, partial) -> None:
-        index = remaining[local_index]
-        chunk = chunks[index]
-        finished["chunks"] += 1
-        finished["attempted"] += len(chunk)
-        if isinstance(partial, WorkerFailure):
-            if checkpoint is not None:
-                checkpoint.chunk_quarantined(
-                    index, offsets[index], len(chunk), partial.error
-                )
-            emit_progress(_quarantine_report(index, chunk, offsets[index], partial))
-            return
-        if checkpoint is not None:
-            checkpoint.chunk_done(index, offsets[index], len(chunk), partial)
-        emit_progress(partial)
-
-    partials = _map_forked(
-        [task_for(chunks[i], offsets[i]) for i in remaining],
-        workers,
-        trace=trace,
-        on_result=chunk_done,
-        task_timeout=task_timeout,
-        max_retries=max_retries,
-        deadline_at=deadline_at,
-    )
-    by_index: Dict[int, FuzzReport] = dict(completed)
-    for local_index, partial in enumerate(partials):
-        index = remaining[local_index]
-        if isinstance(partial, WorkerFailure):
-            partial = _quarantine_report(
-                index, chunks[index], offsets[index], partial
-            )
-        by_index[index] = partial
     # Contiguous chunks merged in order ⇒ merged.failures is already in
     # original seed order, each failure shrunk in its own chunk.
     merged = FuzzReport()
-    for index in range(len(chunks)):
-        merged.merge(by_index[index])
+    for partial in _run_chunks(
+        [task_for(chunk, offset) for chunk, offset in zip(chunks, offsets)],
+        workers,
+        commit,
+        completed,
+        trace=trace,
+        task_timeout=task_timeout,
+        max_retries=max_retries,
+        deadline_at=deadline_at,
+    ):
+        merged.merge(partial)
     return _fold_back(merged, metrics, coverage, provenance)
 
 
@@ -600,6 +602,26 @@ def _sanitize(result: RunResult) -> RunResult:
     return result
 
 
+def _explore_shard(
+    setup: SetupFn, pin: List[int], sleep_seed, provenance, **explore: Any
+) -> Tuple[List[RunResult], Optional[dict]]:
+    """One first-decision shard's sanitised results, plus (with
+    ``provenance``) the snapshot of the private ledger it recorded into;
+    ``explore`` goes to :func:`~repro.substrate.explore.explore_all`."""
+    ledger = type(provenance)() if provenance is not None else None
+    results = [
+        _sanitize(result)
+        for result in explore_all(
+            setup,
+            pin_prefix=pin,
+            sleep_seed=sleep_seed,
+            provenance=ledger,
+            **explore,
+        )
+    ]
+    return results, None if ledger is None else ledger.snapshot()
+
+
 def explore_parallel(
     setup: SetupFn,
     max_steps: Optional[int] = None,
@@ -652,91 +674,49 @@ def explore_parallel(
     if budget is not None:
         budget.start()
     pins, seeds = (
-        shard_plan(setup, max_steps, reduction)
-        if workers > 1 and _fork_context() is not None
-        else ([[]], None)
+        shard_plan(setup, max_steps, reduction) if workers > 1 else ([[]], None)
     )
-    if len(pins) <= 1:
-        results = list(
-            explore_all(
-                setup,
-                max_steps=max_steps,
-                include_incomplete=include_incomplete,
-                preemption_bound=preemption_bound,
-                budget=budget,
-                reduction=reduction,
-                provenance=provenance,
-            )
-        )
-        _observe_explore(metrics, trace, results, budget, coverage)
-        return results
     remaining = budget.remaining_deadline() if budget is not None else None
 
-    def shard_task(
-        index: int,
-    ) -> Callable[[], Tuple[List[RunResult], ExploreBudget, Optional[dict]]]:
-        def run_shard() -> Tuple[List[RunResult], ExploreBudget, Optional[dict]]:
-            shard_budget = (
-                ExploreBudget(
-                    max_runs=budget.max_runs,
-                    step_budget=budget.step_budget,
-                    deadline=remaining,
+    def shard_task(index: int) -> Callable[[Any], tuple]:
+        def run_shard(sink) -> tuple:
+            shard_budget = None
+            if budget is not None:
+                shard_budget = ExploreBudget(
+                    budget.max_runs, budget.step_budget, remaining
                 )
-                if budget is not None
-                else None
+            results, ledger = _explore_shard(
+                setup, pins[index], None if seeds is None else seeds[index],
+                provenance, max_steps=max_steps, budget=shard_budget,
+                include_incomplete=include_incomplete,
+                preemption_bound=preemption_bound, reduction=reduction,
             )
-            # Private per-shard ledger; its snapshot crosses the pipe
-            # (the ledger itself holds only plain dicts, but snapshots
-            # are the merge currency everywhere else too).
-            shard_ledger = (
-                type(provenance)() if provenance is not None else None
-            )
-            results = [
-                _sanitize(result)
-                for result in explore_all(
-                    setup,
-                    max_steps=max_steps,
-                    include_incomplete=include_incomplete,
-                    preemption_bound=preemption_bound,
-                    budget=shard_budget,
-                    pin_prefix=pins[index],
-                    reduction=reduction,
-                    sleep_seed=None if seeds is None else seeds[index],
-                    provenance=shard_ledger,
-                )
-            ]
-            return (
-                results,
-                shard_budget or ExploreBudget(),
-                None if shard_ledger is None else shard_ledger.snapshot(),
-            )
+            return results, shard_budget or ExploreBudget(), ledger
         return run_shard
 
-    shards = _map_forked(
+    def commit(pin: int, shard):
+        if not isinstance(shard, WorkerFailure):
+            return shard
+        # A lost shard means the sweep is no longer exhaustive.  With a
+        # budget, degrade gracefully (tripped → UNKNOWN downstream);
+        # without one the caller has no degradation channel, so the loss
+        # must abort rather than pass silently.
+        if budget is None:
+            raise RuntimeError(
+                f"explore shard {pin} quarantined after "
+                f"{shard.attempts} attempt(s): {shard.error}"
+            )
+        reason = f"shard {pin} quarantined ({shard.error})"
+        return [], ExploreBudget(tripped=True, reason=reason), None
+
+    merged: List[RunResult] = []
+    for results, shard_budget, shard_ledger in _run_chunks(
         [shard_task(index) for index in range(len(pins))],
         workers,
+        commit,
         trace=trace,
         deadline_at=None if remaining is None else time.monotonic() + remaining,
-    )
-    merged: List[RunResult] = []
-    for pin, shard in enumerate(shards):
-        if isinstance(shard, WorkerFailure):
-            # A lost shard means the sweep is no longer exhaustive.  With
-            # a budget, degrade gracefully (tripped → UNKNOWN downstream);
-            # without one the caller has no degradation channel, so the
-            # loss must abort rather than pass silently.
-            if budget is None:
-                raise RuntimeError(
-                    f"explore shard {pin} quarantined after "
-                    f"{shard.attempts} attempt(s): {shard.error}"
-                )
-            if not budget.tripped:
-                budget.tripped = True
-                budget.reason = (
-                    f"shard {pin} quarantined ({shard.error})"
-                )
-            continue
-        results, shard_budget, shard_ledger = shard
+    ):
         merged.extend(results)
         if provenance is not None and shard_ledger is not None:
             provenance.merge(ExplorationLedger.from_snapshot(shard_ledger))

@@ -643,12 +643,6 @@ def _run_durable(
         durable_verify,
     )
 
-    workers = max(1, getattr(args, "workers", 0) or 1)
-    if kind != "fuzz" and workers > 1:
-        raise SystemExit(
-            f"--workers is not supported for store-backed {kind} "
-            "campaigns: their shards run in one process"
-        )
     campaign_id = (
         campaign_id
         or getattr(args, "campaign_id", "")
@@ -657,6 +651,7 @@ def _run_durable(
 
     def launch(setup, spec, instruments):
         instruments["abort_after"] = getattr(args, "abort_after_checkpoints", 0)
+        instruments["workers"] = max(1, getattr(args, "workers", 0))
         with CampaignStore(args.store) as store:
             head = (store, campaign_id, workload.name, workload.kind, setup)
             try:
@@ -680,7 +675,6 @@ def _run_durable(
                     *head,
                     spec,
                     config,
-                    workers=workers,
                     progress_every=args.progress or max(1, config["seeds"] // 50),
                     use_dedup=config.get("dedup", False),
                     driver_kwargs=extras,
@@ -960,11 +954,19 @@ def _cmd_workloads(args) -> int:
 # ----------------------------------------------------------------------
 # Argument parsing
 # ----------------------------------------------------------------------
+def _count(text: str) -> int:
+    """The type of every count option: a non-negative integer."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _add_run_args(parser: argparse.ArgumentParser, workers: bool) -> None:
     """The per-invocation knobs of every campaign and of ``resume``."""
     if workers:
         parser.add_argument(
-            "--workers", type=int, default=0, help="parallel workers (0 = inline)"
+            "--workers", type=_count, default=0, help="parallel workers (0 = inline)"
         )
     parser.add_argument(
         "--trace", default="", help="write the JSON-lines event stream here"
@@ -974,7 +976,7 @@ def _add_run_args(parser: argparse.ArgumentParser, workers: bool) -> None:
     )
     parser.add_argument(
         "--progress",
-        type=int,
+        type=_count,
         default=0,
         help="emit progress every N runs (0 = auto)",
     )
@@ -1000,7 +1002,7 @@ def _add_campaign_args(
         help="named workload (see `python -m repro workloads`)",
     )
     parser.add_argument(
-        "--max-steps", type=int, default=0, help="per-run step bound"
+        "--max-steps", type=_count, default=0, help="per-run step bound"
     )
     _add_run_args(parser, workers)
     parser.add_argument(
@@ -1035,7 +1037,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_campaign_args(fuzz, workers=True, reduction=False)
     fuzz.add_argument(
         "--checkpoint-every",
-        type=int,
+        type=_count,
         default=0,
         help="with --store: checkpoint every N seeds (default: one "
         "checkpoint at the end)",
@@ -1046,7 +1048,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="with --store: skip schedules a previous campaign in the "
         "store already verified for this workload",
     )
-    fuzz.add_argument("--seeds", type=int, default=200, help="seed count")
+    fuzz.add_argument("--seeds", type=_count, default=200, help="seed count")
     fuzz.add_argument(
         "--guidance",
         choices=("uniform", "greybox"),
@@ -1059,7 +1061,7 @@ def build_parser() -> argparse.ArgumentParser:
     explore = sub.add_parser("explore", help="exhaustive enumeration")
     _add_campaign_args(explore, workers=True, reduction=True)
     explore.add_argument(
-        "--max-runs", type=int, default=0, help="stop after this many runs"
+        "--max-runs", type=_count, default=0, help="stop after this many runs"
     )
     explore.set_defaults(func=_cmd_explore)
 

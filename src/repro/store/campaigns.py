@@ -8,10 +8,14 @@ foreground process into an interruption-safe job:
    checkpointed chunk and a ``campaign_resume`` trace event records how
    much work is skipped.  Quarantined chunks are *retried* on resume —
    only committed successes are skipped.
-2. **run under a checkpoint writer** — each finished chunk (fuzz seed
-   block, explore/verify ``pin_prefix`` shard) commits before the next
-   begins to matter; ``KeyboardInterrupt`` marks the campaign
-   ``interrupted`` and re-raises (the CLI exits 130 with a resume hint).
+2. **run under a checkpoint writer** — the chunks (fuzz seed blocks,
+   explore/verify ``pin_prefix`` shards) fan out across the workers
+   through the one campaign runner
+   (:func:`~repro.checkers.parallel._run_chunks`) and each commits, in
+   chunk order, as soon as the chunks before it have; a campaign that
+   stops early (``KeyboardInterrupt``, a lost shard) is marked
+   ``interrupted`` and the exception re-raised (the CLI exits 130 with
+   a resume hint, or with one line naming the lost shard).
 3. **persist cross-run knowledge** — on completion the campaign's fresh
    schedule digests and coverage fingerprints are folded into the
    store's fingerprint sets, keyed by ``(workload, checker, width)``, so
@@ -34,7 +38,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.obs.provenance import ExplorationLedger
@@ -52,6 +56,7 @@ from repro.store.schema import (
     STATUS_INTERRUPTED,
     STATUS_RUNNING,
     CampaignStore,
+    StoreError,
 )
 
 #: Fingerprint kinds persisted from a completed campaign's coverage.
@@ -83,6 +88,20 @@ def _span(trace, phase: str, span_id: str, **fields):
     if trace is None:
         return nullcontext()
     return trace.span(phase, span_id=span_id, **fields)
+
+
+@contextmanager
+def _running(store: CampaignStore, campaign_id: str, kind: str, trace=None):
+    """The campaign span; a campaign that stops early (Ctrl-C, a lost
+    shard, a failing task) is left ``interrupted`` for ``resume``."""
+    try:
+        with _span(
+            trace, "campaign", span_path(("campaign", campaign_id)), kind=kind
+        ):
+            yield
+    except BaseException:
+        store.set_status(campaign_id, STATUS_INTERRUPTED)
+        raise
 
 
 def _begin(
@@ -186,30 +205,24 @@ def durable_fuzz(
         store, campaign_id, trace=trace, abort_after=abort_after
     )
     driver = getattr(parallel, f"fuzz_{_FAMILIES[checker]}_parallel")
-    try:
-        with _span(
-            trace, "campaign", span_path(("campaign", campaign_id)), kind="fuzz"
-        ):
-            report = driver(
-                setup,
-                spec,
-                seeds=range(config["seeds"]),
-                workers=max(1, workers),
-                max_steps=config["max_steps"],
-                metrics=metrics,
-                trace=trace,
-                coverage=coverage,
-                progress_every=progress_every,
-                checkpoint=writer,
-                checkpoint_every=config["checkpoint_every"],
-                completed=completed,
-                dedup=dedup,
-                provenance=provenance,
-                **driver_kwargs,
-            )
-    except KeyboardInterrupt:
-        store.set_status(campaign_id, STATUS_INTERRUPTED)
-        raise
+    with _running(store, campaign_id, "fuzz", trace):
+        report = driver(
+            setup,
+            spec,
+            seeds=range(config["seeds"]),
+            workers=max(1, workers),
+            max_steps=config["max_steps"],
+            metrics=metrics,
+            trace=trace,
+            coverage=coverage,
+            progress_every=progress_every,
+            checkpoint=writer,
+            checkpoint_every=config["checkpoint_every"],
+            completed=completed,
+            dedup=dedup,
+            provenance=provenance,
+            **driver_kwargs,
+        )
     store.set_status(campaign_id, STATUS_COMPLETE)
     _persist_knowledge(
         store, workload, checker, width, dedup, report.fresh_schedules, coverage
@@ -228,61 +241,87 @@ def durable_fuzz(
     return report
 
 
-def _sweep_shards(
+def _exhaustive_campaign(
     store: CampaignStore,
     campaign_id: str,
     kind: str,
+    workload: str,
+    checker: str,
     setup,
-    max_steps: Optional[int],
+    config: Dict[str, Any],
     reduction: str,
-    completed: Dict[int, Any],
-    run_shard: Callable[[int, List[int], Any, Dict[int, Any]], Any],
+    shard: Callable[[List[int], Any, Any], Any],
+    fold: Callable[[List[Any]], Any],
+    workers: int = 1,
     trace=None,
+    coverage=None,
     abort_after: int = 0,
-) -> List[Any]:
-    """Run a sharded exhaustive campaign, one checkpointed chunk per shard.
+    rebase: Optional[Callable[[Any, List[Any]], Any]] = None,
+):
+    """Run (or resume) a durable exhaustive campaign, one chunk per shard.
 
-    Shards by the first decision point
-    (:func:`~repro.substrate.explore.shard_plan`, the partition
-    :func:`~repro.checkers.parallel.explore_parallel` uses) and runs the
-    shards missing from ``completed`` sequentially in pin order, each in
-    a chunk span and committed as it finishes.  Reduced sweeps hand each
-    shard the sleep state of its siblings — a pure function of
-    ``setup``, so a resumed campaign's remaining shards prune exactly as
-    the uninterrupted run's did.
-    ``run_shard(index, pin, sleep_seed, shards)`` returns one shard's
-    checkpoint payload; ``shards`` already holds the payloads of every
-    shard before it.  Returns all payloads in pin order.
+    The first-decision shards (:func:`~repro.substrate.explore.shard_plan`)
+    missing from the store fan out across ``workers`` through the
+    campaign runner, which commits them in pin order.
+    ``shard(pin, sleep_seed, sink)`` computes one shard's checkpoint
+    payload; ``rebase(payload, before)`` adjusts it at commit time, given
+    the payloads of the shards before it; ``fold(payloads)`` turns all
+    payloads, in pin order, into the campaign's result.  A shard run in
+    this process gets its chunk span around its work, a forked one
+    around its commit.  A shard whose workers keep dying is recorded
+    quarantined and stops the campaign with a
+    :class:`~repro.store.schema.StoreError`, leaving it ``interrupted``
+    for ``resume`` to retry.
     """
+    from repro.checkers.parallel import WorkerFailure, _run_chunks
     from repro.substrate.explore import shard_plan
 
-    pins, seeds = shard_plan(setup, max_steps, reduction)
+    completed = _begin(
+        store, campaign_id, kind, workload, checker, config, trace=trace
+    )
+    pins, seeds = shard_plan(setup, config["max_steps"], reduction)
     writer = CheckpointWriter(
         store, campaign_id, trace=trace, abort_after=abort_after
     )
-    shards: Dict[int, Any] = dict(completed)
-    try:
-        with _span(
-            trace, "campaign", span_path(("campaign", campaign_id)), kind=kind
-        ):
-            for index, pin in enumerate(pins):
-                if index in shards:
-                    continue
-                with _span(
-                    trace,
-                    "chunk",
-                    span_path(("campaign", campaign_id), ("chunk", index)),
-                    chunk=index,
-                ):
-                    payload = run_shard(
-                        index, pin, None if seeds is None else seeds[index], shards
-                    )
-                writer.chunk_done(index, index, 1, payload)
-                shards[index] = payload
-    except KeyboardInterrupt:
-        store.set_status(campaign_id, STATUS_INTERRUPTED)
-        raise
-    return [shards[index] for index in range(len(pins))]
+    payloads: Dict[int, Any] = dict(completed)
+    ran_here: set = set()
+
+    def chunk_span(sink, index: int):
+        path = span_path(("campaign", campaign_id), ("chunk", index))
+        return _span(sink, "chunk", path, chunk=index)
+
+    def task(index: int):
+        def run(sink):
+            ran_here.add(index)
+            with chunk_span(sink, index):
+                seed = None if seeds is None else seeds[index]
+                return shard(pins[index], seed, sink)
+        return run
+
+    def commit(index: int, payload):
+        if isinstance(payload, WorkerFailure):
+            writer.chunk_quarantined(index, index, 1, payload.error)
+            raise StoreError(
+                f"{kind} campaign {campaign_id}: shard {index} lost after "
+                f"{payload.attempts} attempt(s) ({payload.error}); "
+                "resume retries it"
+            )
+        if rebase is not None:
+            payload = rebase(payload, [payloads[k] for k in range(index)])
+        with nullcontext() if index in ran_here else chunk_span(trace, index):
+            writer.chunk_done(index, index, 1, payload)
+        payloads[index] = payload
+        return payload
+
+    with _running(store, campaign_id, kind, trace):
+        tasks = [task(index) for index in range(len(pins))]
+        shards = _run_chunks(tasks, workers, commit, completed, trace=trace)
+    result = fold(shards)
+    store.set_status(campaign_id, STATUS_COMPLETE)
+    _persist_knowledge(
+        store, workload, checker, probe_width(setup), None, None, coverage
+    )
+    return result
 
 
 def durable_explore(
@@ -292,6 +331,7 @@ def durable_explore(
     checker: str,
     setup,
     config: Dict[str, Any],
+    workers: int = 1,
     metrics=None,
     trace=None,
     coverage=None,
@@ -301,78 +341,57 @@ def durable_explore(
     """Run (or resume) a checkpointed exhaustive enumeration.
 
     Shards by the first decision point (the same partition
-    :func:`~repro.checkers.parallel.explore_parallel` uses) and commits
-    each shard's sanitised results as a chunk.  Shards run sequentially
-    in pin order — durable explore trades worker fan-out for
-    checkpointability; budgets are unsupported here because a cut shard
-    has no stable boundary to resume from.  ``config`` may carry
-    ``reduction`` (``"none"`` | ``"sleep-set"`` | ``"dpor"``); reduced
-    shards exchange sleep state at their boundaries (see
-    :func:`~repro.substrate.explore.shard_sleep_seeds`), so the merged
-    enumeration equals an unsharded reduced sweep — and, because the
-    seeds are a pure function of ``setup``, a resumed campaign's
+    :func:`~repro.checkers.parallel.explore_parallel` uses), fans the
+    shards out across ``workers`` and commits each shard's sanitised
+    results as a chunk, in pin order.  Budgets are unsupported here
+    because a cut shard has no stable boundary to resume from.
+    ``config`` may carry ``reduction`` (``"none"`` | ``"sleep-set"`` |
+    ``"dpor"``); reduced shards exchange sleep state at their boundaries
+    (see :func:`~repro.substrate.explore.shard_sleep_seeds`), so the
+    merged enumeration equals an unsharded reduced sweep — and, because
+    the seeds are a pure function of ``setup``, a resumed campaign's
     remaining shards prune exactly as the uninterrupted run's did.
     """
-    from repro.checkers.parallel import _observe_explore, _sanitize
-    from repro.substrate.explore import explore_all, validate_exploration
+    from repro.checkers.parallel import _explore_shard, _observe_explore
+    from repro.substrate.explore import validate_exploration
 
     reduction = config.get("reduction", "none")
     validate_exploration(reduction)
-    completed = _begin(
-        store, campaign_id, "explore", workload, checker, config, trace=trace
-    )
 
-    def run_shard(index, pin, sleep_seed, shards):
+    def shard(pin, sleep_seed, sink):
         # Each shard records into a private ledger whose snapshot is
         # checkpointed beside the shard's results, so a resumed
         # campaign's merged ledger equals an uninterrupted one's — the
         # coverage discipline.
-        shard_ledger = type(provenance)() if provenance is not None else None
-        results = [
-            _sanitize(result)
-            for result in explore_all(
-                setup,
-                max_steps=config["max_steps"],
-                pin_prefix=pin,
-                reduction=reduction,
-                sleep_seed=sleep_seed,
-                provenance=shard_ledger,
-            )
-        ]
-        if shard_ledger is None:
+        results, ledger = _explore_shard(
+            setup, pin, sleep_seed, provenance,
+            max_steps=config["max_steps"], reduction=reduction,
+        )
+        if ledger is None:
             return results
-        return {"results": results, "provenance": shard_ledger.snapshot()}
+        return {"results": results, "provenance": ledger}
 
-    merged: List[Any] = []
-    for payload in _sweep_shards(
-        store,
-        campaign_id,
-        "explore",
-        setup,
-        config["max_steps"],
-        reduction,
-        completed,
-        run_shard,
-        trace=trace,
-        abort_after=abort_after,
-    ):
-        # Checkpoints from pre-provenance campaigns (or ledger-off runs)
-        # restore as bare result lists; ledger-on chunks restore as
-        # {"results", "provenance"} payloads.
-        if isinstance(payload, dict):
-            if provenance is not None and payload.get("provenance"):
-                provenance.merge(
-                    ExplorationLedger.from_snapshot(payload["provenance"])
-                )
-            merged.extend(payload["results"])
-        else:
-            merged.extend(payload)
-    _observe_explore(metrics, trace, merged, None, coverage)
-    store.set_status(campaign_id, STATUS_COMPLETE)
-    _persist_knowledge(
-        store, workload, checker, probe_width(setup), None, None, coverage
+    def fold(payloads):
+        merged: List[Any] = []
+        for payload in payloads:
+            # Checkpoints from pre-provenance campaigns (or ledger-off
+            # runs) restore as bare result lists; ledger-on chunks
+            # restore as {"results", "provenance"} payloads.
+            if isinstance(payload, dict):
+                if provenance is not None and payload.get("provenance"):
+                    provenance.merge(
+                        ExplorationLedger.from_snapshot(payload["provenance"])
+                    )
+                merged.extend(payload["results"])
+            else:
+                merged.extend(payload)
+        _observe_explore(metrics, trace, merged, None, coverage)
+        return merged
+
+    return _exhaustive_campaign(
+        store, campaign_id, "explore", workload, checker, setup, config,
+        reduction, shard, fold, workers, trace, coverage, abort_after,
     )
-    return merged
 
 
 def durable_verify(
@@ -383,6 +402,7 @@ def durable_verify(
     setup,
     spec,
     config: Dict[str, Any],
+    workers: int = 1,
     metrics=None,
     trace=None,
     coverage=None,
@@ -394,75 +414,71 @@ def durable_verify(
     """Run (or resume) a checkpointed exhaustive verification.
 
     One chunk per first-decision shard, each verified with
-    ``pin_prefix=[k]`` and committed as it finishes; per-shard reports
-    merge in pin order to exactly an unsharded sweep's report
-    (:meth:`~repro.checkers.verify.VerificationReport.merge`).  Shards
-    run sequentially because each shard's coverage tracker is seeded
-    with the cumulative attempted-run count of the shards before it —
-    the offset that keeps merged saturation curves identical to a
-    sequential campaign's.  When ``driver_kwargs`` carries a
-    ``reduction``, shards additionally exchange sleep state at their
-    boundaries (:func:`~repro.substrate.explore.shard_sleep_seeds`), so
-    the merged reduced sweep checks the same runs as an unsharded one.
+    ``pin_prefix=[k]`` across ``workers`` and committed in pin order;
+    per-shard reports merge in pin order to exactly an unsharded sweep's
+    report (:meth:`~repro.checkers.verify.VerificationReport.merge`).
+    Each shard records coverage from position 0; at commit time its
+    samples are shifted by the runs attempted in the shards before it,
+    so checkpointed reports hold campaign-wide positions and merged
+    saturation curves equal a sequential campaign's at any worker count.
+    When ``driver_kwargs`` carries a ``reduction``, shards additionally
+    exchange sleep state at their boundaries
+    (:func:`~repro.substrate.explore.shard_sleep_seeds`), so the merged
+    reduced sweep checks the same runs as an unsharded one.
     """
     from repro.checkers import verify
     from repro.substrate.explore import validate_exploration
 
-    reduction = (driver_kwargs or {}).get("reduction", "none")
+    driver_kwargs = driver_kwargs or {}
+    reduction = driver_kwargs.get("reduction", "none")
     validate_exploration(
-        reduction,
-        preemption_bound=(driver_kwargs or {}).get("preemption_bound"),
-    )
-    completed = _begin(
-        store, campaign_id, "verify", workload, checker, config, trace=trace
+        reduction, preemption_bound=driver_kwargs.get("preemption_bound")
     )
     driver = getattr(verify, f"verify_{verify._FAMILIES[checker]}")
 
-    def run_shard(index, pin, sleep_seed, shards):
-        shard_coverage = None
-        if coverage is not None:
-            attempted = sum(
-                shards[k].runs + shards[k].incomplete for k in range(index)
-            )
-            shard_coverage = type(coverage)(
-                prefix_depth=coverage.prefix_depth, offset=attempted
-            )
+    def shard(pin, sleep_seed, sink):
         return driver(
             setup,
             spec,
             max_steps=config["max_steps"],
             metrics=type(metrics)() if metrics is not None else None,
-            trace=trace,
-            coverage=shard_coverage,
+            trace=sink,
+            coverage=(
+                type(coverage)(prefix_depth=coverage.prefix_depth)
+                if coverage is not None
+                else None
+            ),
             progress_every=progress_every,
             pin_prefix=pin,
             sleep_seed=sleep_seed,
             provenance=type(provenance)() if provenance is not None else None,
-            **(driver_kwargs or {}),
+            **driver_kwargs,
         )
 
-    merged = verify.VerificationReport()
-    for shard in _sweep_shards(
-        store,
-        campaign_id,
-        "verify",
-        setup,
-        config["max_steps"],
-        reduction,
-        completed,
-        run_shard,
-        trace=trace,
-        abort_after=abort_after,
-    ):
-        merged.merge(shard)
-    # Restored shard reports carry their ledger snapshots (they ride
-    # inside the pickled report), so resume needs no special casing.
-    verify._fold_back(merged, metrics, coverage, provenance)
-    store.set_status(campaign_id, STATUS_COMPLETE)
-    _persist_knowledge(
-        store, workload, checker, probe_width(setup), None, None, coverage
+    def rebase(report, before):
+        if report.coverage is not None:
+            offset = sum(prior.runs + prior.incomplete for prior in before)
+            report.coverage = dict(
+                report.coverage,
+                samples=[
+                    [position + offset, fingerprint]
+                    for position, fingerprint in report.coverage["samples"]
+                ],
+            )
+        return report
+
+    def fold(reports):
+        merged = verify.VerificationReport()
+        for report in reports:
+            merged.merge(report)
+        # Restored shard reports carry their ledger snapshots (they ride
+        # inside the pickled report), so resume needs no special casing.
+        return verify._fold_back(merged, metrics, coverage, provenance)
+
+    return _exhaustive_campaign(
+        store, campaign_id, "verify", workload, checker, setup, config,
+        reduction, shard, fold, workers, trace, coverage, abort_after, rebase,
     )
-    return merged
 
 
 __all__ = [

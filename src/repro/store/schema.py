@@ -95,7 +95,8 @@ CHUNK_QUARANTINED = "quarantined"
 
 
 class StoreError(RuntimeError):
-    """A campaign-store invariant was violated (config mismatch, …)."""
+    """A campaign-store invariant was violated (config mismatch, …), or
+    a durable campaign stopped on a shard its workers kept losing."""
 
 
 class CampaignStore:

@@ -10,6 +10,7 @@ it — the report must be a single well-formed, self-contained page.
 from __future__ import annotations
 
 import json
+import os
 import re
 from html.parser import HTMLParser
 from io import StringIO
@@ -17,8 +18,23 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import WORKLOADS, ProgressRenderer, main
+from repro.cli import (
+    WORKLOADS,
+    ProgressRenderer,
+    Workload,
+    _durable_config,
+    build_parser,
+    main,
+)
 from repro.obs.tracing import read_trace
+from repro.specs import RegisterSpec
+from repro.store import STATUS_INTERRUPTED, CampaignStore
+from repro.workloads.programs import register_program
+from tests.test_supervisor import (
+    _kill_always_setup,
+    _kill_once_setup,
+    needs_fork,
+)
 
 
 def _run(*argv):
@@ -238,42 +254,192 @@ class TestCampaignOptions:
         assert exit_info.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fuzz", "--seeds", "-3"],
+            ["fuzz", "--workers", "-1"],
+            ["fuzz", "--store", "s.db", "--checkpoint-every", "-4"],
+            ["fuzz", "--progress", "-5"],
+            ["verify", "--max-steps", "-1"],
+            ["explore", "--max-runs", "-1"],
+            ["resume", "c1", "--store", "s.db", "--workers", "-2"],
+        ],
+    )
+    def test_negative_counts_are_rejected(
+        self, argv, capsys, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            _run(*argv, "--quiet")
+        assert exit_info.value.code == 2
+        assert "must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "s.db").exists()
 
-class TestDurableWorkers:
-    """Store-backed explore and verify campaigns run their shards in one
-    process, so ``--workers`` above one is refused with one line rather
-    than ignored."""
 
-    def _exit_message(self, *argv):
-        with pytest.raises(SystemExit) as excinfo:
-            _run(*argv)
-        message = excinfo.value.code
-        assert isinstance(message, str) and "\n" not in message
-        assert "--workers" in message
-        return message
+def _strip_clock(path):
+    """A campaign artifact without its wall-clock-derived fields."""
+    artifact = json.loads(Path(path).read_text())
+    for key in ("elapsed_s", "campaign", "profile"):
+        artifact.pop(key, None)
+    (artifact.get("stats") or {}).pop("timers", None)
+    return json.dumps(artifact, sort_keys=True)
 
-    def test_explore_store_refuses_workers(self, tmp_path):
-        store = tmp_path / "w.db"
-        self._exit_message(
-            "explore", "--workload", "exchanger2", "--quiet",
-            "--store", str(store), "--workers", "2",
+
+@pytest.fixture
+def register3(monkeypatch):
+    """A three-shard workload small enough for a reduced exhaustive
+    campaign in well under a second: two register writers and a reader.
+    Returns a function that swaps in another setup for it."""
+
+    def install(make_setup=lambda setup: setup):
+        base = register_program([1, 2], readers=1)
+        monkeypatch.setitem(
+            WORKLOADS,
+            "register3",
+            Workload(
+                "register3",
+                "lin",
+                "two writers and a reader on an atomic register",
+                lambda: make_setup(base),
+                lambda: RegisterSpec("R"),
+                max_steps=200,
+            ),
         )
-        assert not store.exists()
 
-    @pytest.mark.parametrize("kind", ["explore", "verify"])
-    def test_resume_refuses_workers(self, kind, tmp_path):
-        store = str(tmp_path / "w.db")
+    install()
+    return install
+
+
+@needs_fork
+class TestDurableWorkers:
+    """Store-backed explore and verify campaigns fan their first-decision
+    shards out across ``--workers`` (verify through ``resume --workers``)
+    and commit them in pin order, so the artifact does not depend on the
+    worker count — interrupted and resumed or not."""
+
+    CASES = [
+        ("explore", "exchanger2", "none"),
+        ("explore", "exchanger2", "dpor"),
+        ("verify", "exchanger2", "none"),
+        ("verify", "exchanger2", "dpor"),
+        ("explore", "register3", "dpor"),
+        ("verify", "register3", "dpor"),
+    ]
+
+    def _campaign(self, tmp_path, name, kind, workload, reduction, *extra):
+        """Run a store-backed campaign at one worker; returns its exit
+        code, artifact path and store path."""
+        store = str(tmp_path / f"{name}.db")
+        artifact = str(tmp_path / f"{name}.json")
         code = _run(
-            kind, "--workload", "exchanger2", "--reduction", "dpor",
+            kind, "--workload", workload, "--reduction", reduction,
             "--quiet", "--store", store, "--campaign-id", "c1",
-            "--abort-after-checkpoints", "1",
+            "--json", artifact, *extra,
+        )
+        return code, artifact, store
+
+    def _resume(self, tmp_path, store, *extra):
+        artifact = str(tmp_path / "resumed.json")
+        code = _run(
+            "resume", "c1", "--store", store, "--quiet", "--json", artifact,
+            *extra,
+        )
+        return code, artifact
+
+    def _fanned_out(self, tmp_path, kind, workload, reduction):
+        """The whole campaign at ``--workers 2``: explore takes the option
+        directly; verify runs every shard in one ``resume --workers 2``
+        of a campaign that has none committed yet."""
+        if kind == "explore":
+            return self._campaign(
+                tmp_path, "fanned", kind, workload, reduction, "--workers", "2"
+            )[:2]
+        args = build_parser().parse_args(
+            [kind, "--workload", workload, "--reduction", reduction]
+        )
+        store = str(tmp_path / "fanned.db")
+        with CampaignStore(store) as campaigns:
+            campaigns.create_campaign(
+                "c1", kind, workload, WORKLOADS[workload].kind,
+                _durable_config(kind, WORKLOADS[workload], args),
+            )
+        return self._resume(tmp_path, store, "--workers", "2")
+
+    @pytest.mark.parametrize("kind, workload, reduction", CASES)
+    def test_two_workers_equal_one(
+        self, kind, workload, reduction, tmp_path, register3
+    ):
+        code, serial, _ = self._campaign(
+            tmp_path, "serial", kind, workload, reduction
+        )
+        assert code == 0
+        code, fanned = self._fanned_out(tmp_path, kind, workload, reduction)
+        assert code == 0
+        assert _strip_clock(fanned) == _strip_clock(serial)
+        # Coverage positions are campaign-wide, as in a storeless sweep.
+        inline = str(tmp_path / "inline.json")
+        _run(
+            kind, "--workload", workload, "--reduction", reduction,
+            "--quiet", "--json", inline,
+        )
+        coverage = json.loads(Path(fanned).read_text())["coverage"]
+        assert coverage == json.loads(Path(inline).read_text())["coverage"]
+
+    @pytest.mark.parametrize("kind, workload, reduction", CASES)
+    def test_interrupt_then_resume_at_two_workers_equals_one(
+        self, kind, workload, reduction, tmp_path, register3
+    ):
+        code, serial, _ = self._campaign(
+            tmp_path, "serial", kind, workload, reduction
+        )
+        assert code == 0
+        workers = ["--workers", "2"] if kind == "explore" else []
+        code, _, store = self._campaign(
+            tmp_path, "cut", kind, workload, reduction,
+            "--abort-after-checkpoints", "1", *workers,
         )
         assert code == 130
-        message = self._exit_message(
-            "resume", "c1", "--store", store, "--quiet", "--workers", "2"
+        code, resumed = self._resume(tmp_path, store, "--workers", "2")
+        assert code == 0
+        assert _strip_clock(resumed) == _strip_clock(serial)
+
+    @pytest.mark.parametrize("kind", ["explore", "verify"])
+    def test_shard_killed_once_is_retried(self, kind, tmp_path, register3):
+        code, serial, _ = self._campaign(
+            tmp_path, "serial", kind, "register3", "dpor"
         )
-        assert kind in message
-        assert _run("resume", "c1", "--store", store, "--quiet") == 0
+        assert code == 0
+        marker = str(tmp_path / "killed.marker")
+        register3(lambda base: _kill_once_setup(base, marker, os.getpid()))
+        code, fanned = self._fanned_out(tmp_path, kind, "register3", "dpor")
+        assert os.path.exists(marker), "no worker was killed"
+        assert code == 0
+        assert _strip_clock(fanned) == _strip_clock(serial)
+
+    @pytest.mark.parametrize("kind", ["explore", "verify"])
+    def test_lost_shard_stops_the_campaign_until_resume(
+        self, kind, tmp_path, register3
+    ):
+        code, serial, _ = self._campaign(
+            tmp_path, "serial", kind, "register3", "dpor"
+        )
+        assert code == 0
+        register3(lambda base: _kill_always_setup(base, os.getpid()))
+        with pytest.raises(SystemExit) as excinfo:
+            self._fanned_out(tmp_path, kind, "register3", "dpor")
+        message = excinfo.value.code
+        assert isinstance(message, str) and "\n" not in message
+        assert "shard" in message and "resume" in message
+        store = str(tmp_path / "fanned.db")
+        with CampaignStore(store) as campaigns:
+            assert campaigns.get_campaign("c1")["status"] == STATUS_INTERRUPTED
+            assert campaigns.quarantined_chunks("c1")
+        # One worker runs the shards in this process, out of the
+        # killer's reach.
+        code, resumed = self._resume(tmp_path, store)
+        assert code == 0
+        assert _strip_clock(resumed) == _strip_clock(serial)
 
 
 class _PageChecker(HTMLParser):
@@ -475,6 +641,31 @@ class TestHazardWorkloads:
         assert first["verdict"] == "fail"
         assert "pop" in first["timeline"]
         assert first["schedule"]  # replayable from the artifact alone
+
+    def test_checkpointed_chunks_trace_like_the_inline_campaign(
+        self, tmp_path
+    ):
+        """Chunks run in this process get the campaign's trace sink, so a
+        one-worker store campaign traces every check and shrink step."""
+        argv = ["fuzz", "--workload", "treiber-reuse", "--seeds", "200"]
+        _run(*argv, "--quiet", "--trace", str(tmp_path / "inline.jsonl"))
+        _run(
+            *argv, "--quiet", "--trace", str(tmp_path / "durable.jsonl"),
+            "--store", str(tmp_path / "s.db"), "--checkpoint-every", "50",
+            "--workers", "1",
+        )
+        counts = {}
+        for name in ("inline", "durable"):
+            events = [
+                e["event"] for e in read_trace(str(tmp_path / f"{name}.jsonl"))
+            ]
+            counts[name] = {
+                kind: events.count(kind)
+                for kind in ("check_begin", "check_end", "shrink_step")
+            }
+        assert counts["inline"]["check_begin"] > 0
+        assert counts["inline"]["shrink_step"] > 0
+        assert counts["durable"] == counts["inline"]
 
     def test_treiber_hazard_passes_the_same_campaign(self, tmp_path):
         artifact_path = tmp_path / "hazard.json"
