@@ -3,7 +3,9 @@
 ``python -m repro report --json campaign.json --html out.html`` funnels
 through :func:`render_html_report`: one HTML file, no external assets,
 no JavaScript — inline CSS, an inline SVG for the coverage saturation
-curve, plain tables for the profiler/coverage/metrics numbers, and the
+curve, plain tables for the profiler/coverage/metrics numbers, the
+provenance audit (prune causes, race graph, wakeup-tree admissions,
+corpus energy), the span timeline when ``--trace`` is given, and the
 embedded counterexample timelines in ``<pre>`` blocks.  The input is the
 JSON artifact the CLI writes (see :mod:`repro.cli`), so reports can be
 regenerated from CI artifacts long after the campaign ran.
@@ -108,7 +110,7 @@ def _coverage_section(coverage: Optional[Dict[str, Any]]) -> str:
     from repro.obs.coverage import CoverageTracker
 
     tracker = CoverageTracker.from_snapshot(coverage)
-    report = tracker.report(bucket=_bucket_for(tracker))
+    report = tracker.report(bucket=tracker.bucket_for(24))
     facets = _table(
         ["facet", "distinct"],
         [
@@ -132,16 +134,6 @@ def _coverage_section(coverage: Optional[Dict[str, Any]]) -> str:
         + "<h3>Saturation</h3>"
         + svg
     )
-
-
-def _bucket_for(tracker) -> int:
-    if not tracker.samples:
-        return 1000
-    span = max(tracker.samples) + 1
-    for bucket in (1, 5, 10, 50, 100, 500, 1000, 5000):
-        if span // bucket <= 24:
-            return bucket
-    return 10000
 
 
 def _profile_section(artifact: Dict[str, Any]) -> str:
@@ -228,7 +220,7 @@ def _hbar_table(
     title_headers: Sequence[str], rows: Sequence[Sequence[Any]]
 ) -> str:
     """A table whose last column is a value rendered with a proportional
-    horizontal bar — the no-JS histogram used by the flight recorder."""
+    horizontal bar — the no-JS histogram of the provenance section."""
     values = [row[-1] for row in rows]
     peak = max([v for v in values if isinstance(v, (int, float))] + [1])
     head = "".join(f"<th>{_esc(h)}</th>" for h in title_headers)
@@ -248,38 +240,36 @@ def _hbar_table(
     )
 
 
-def _provenance_section(artifact: Dict[str, Any]) -> str:
-    """The exploration-provenance ledger, rendered for both the flight
-    recorder and the regular campaign report (when recorded)."""
-    snapshot = artifact.get("provenance")
-    if not snapshot:
-        return ""
-    # Lazy, like _coverage_section: no analysis → obs edge at import.
-    from repro.obs.provenance import ExplorationLedger, ledger_report
-
-    ledger = ExplorationLedger.from_snapshot(snapshot)
-    report = ledger_report(ledger)
-    audit = report["reconciliation"]
+def _provenance_section(audit: Dict[str, Any]) -> str:
+    """The exploration-provenance ledger under the audit's badge;
+    ``audit`` is :func:`~repro.obs.provenance.audit_artifact`'s result."""
+    ledger, failure = audit["ledger"], audit["failure"]
     parts = ["<h2>Exploration provenance</h2>"]
-    if audit["visited"]:
+    if ledger is None:
+        return parts[0] + f"<p class='note'>{_esc(failure)}</p>"
+    # Lazy, like _coverage_section: no analysis → obs edge at import.
+    from repro.obs.provenance import ledger_report
+
+    report = ledger_report(ledger)
+    books = report["reconciliation"]
+    if books["visited"] or failure:
         badge = (
             "<span class='verdict verdict-ok'>balanced</span>"
-            if audit["balanced"]
-            else "<span class='verdict verdict-fail'>unaccounted "
-            "schedules</span>"
+            if failure is None
+            else f"<span class='verdict verdict-fail'>{_esc(failure)}</span>"
         )
         parts.append(f"<h3>Schedule dispositions {badge}</h3>")
         parts.append(
             _table(
                 ["disposition", "count"],
                 [
-                    ["visited", audit["visited"]],
-                    ["executed", audit["executed"]],
-                    ["completed", audit["completed"]],
-                    ["pruned", audit["pruned"]],
-                    ["roots", audit["roots"]],
-                    ["advances", audit["advances"]],
-                    ["race reversals", audit["race_reversals"]],
+                    ["visited", books["visited"]],
+                    ["executed", books["executed"]],
+                    ["completed", books["completed"]],
+                    ["pruned", books["pruned"]],
+                    ["roots", books["roots"]],
+                    ["advances", books["advances"]],
+                    ["race reversals", books["race_reversals"]],
                 ],
             )
         )
@@ -367,50 +357,22 @@ def _span_section(spans: Sequence[Dict[str, Any]]) -> str:
     )
 
 
-def render_flight_recorder(
-    artifact: Dict[str, Any], spans: Sequence[Dict[str, Any]] = ()
+def render_html_report(
+    artifact: Dict[str, Any],
+    spans: Sequence[Dict[str, Any]] = (),
+    audit: Optional[Dict[str, Any]] = None,
 ) -> str:
-    """The ``repro explain --html`` page: one self-contained flight
-    recorder with the prune-cause breakdown, race graph, wakeup-tree
-    admission stats, corpus energy histogram and (when a trace was
-    given) the hierarchical span timeline."""
-    verdict = str(artifact.get("verdict", "UNKNOWN"))
-    css_class = {
-        "OK": "verdict-ok",
-        "FAIL": "verdict-fail",
-    }.get(verdict, "verdict-unknown")
-    title = (
-        f"flight recorder · {artifact.get('kind', 'campaign')} · "
-        f"{artifact.get('workload', '?')}"
-    )
-    head = (
-        f"<h1>{_esc(title)} "
-        f"<span class='verdict {css_class}'>{_esc(verdict)}</span></h1>"
-        f"<p class='note'>checker: {_esc(artifact.get('checker', '?'))} · "
-        f"elapsed: {_fmt(artifact.get('elapsed_s', 0.0))}s</p>"
-    )
-    provenance = _provenance_section(artifact)
-    if not provenance:
-        provenance = (
-            "<p class='note'>no provenance recorded in this artifact</p>"
-        )
-    sections = [
-        head,
-        _table(
-            ["tally", "value"], sorted((artifact.get("tallies") or {}).items())
-        ),
-        provenance,
-        _span_section(spans),
-    ]
-    return (
-        "<!DOCTYPE html><html lang='en'><head><meta charset='utf-8'>"
-        f"<title>{_esc(title)}</title><style>{_CSS}</style></head>"
-        "<body>" + "".join(sections) + "</body></html>"
-    )
+    """One self-contained HTML page for a campaign artifact dict.
 
+    ``spans`` (:func:`~repro.obs.tracing.assemble_spans` over the
+    campaign's trace) adds the span timeline; ``audit`` is
+    :func:`~repro.obs.provenance.audit_artifact`'s result for the
+    artifact, computed here when not given.
+    """
+    if audit is None:
+        from repro.obs.provenance import audit_artifact
 
-def render_html_report(artifact: Dict[str, Any]) -> str:
-    """One self-contained HTML page for a campaign artifact dict."""
+        audit = audit_artifact(artifact)
     verdict = str(artifact.get("verdict", "UNKNOWN"))
     css_class = {
         "OK": "verdict-ok",
@@ -432,7 +394,8 @@ def render_html_report(artifact: Dict[str, Any]) -> str:
         _coverage_section(artifact.get("coverage")),
         _profile_section(artifact),
         _stats_section(artifact),
-        _provenance_section(artifact),
+        _provenance_section(audit),
+        _span_section(spans),
         _counterexample_section(artifact),
     ]
     return (

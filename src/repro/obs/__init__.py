@@ -35,8 +35,8 @@ This package provides both, zero-dependency and off by default:
   disposition of every candidate schedule (executed, pruned, deferred
   into a wakeup tree, spawned by a race reversal, with race evidence)
   plus greybox energy/mutation telemetry, same merge law as
-  :class:`Metrics`; :func:`render_ledger` and ``repro explain`` read it
-  back.
+  :class:`Metrics`; :func:`render_ledger`, :func:`audit_artifact` and
+  ``repro report`` read it back.
 
 Every entry point that accepts ``metrics=``/``trace=``/``coverage=``
 defaults them to ``None``; the disabled path is the plain code path
@@ -49,6 +49,7 @@ from repro.obs.metrics import Metrics, observe_run
 from repro.obs.profile import SearchProfiler, profile_breakdown, render_profile
 from repro.obs.provenance import (
     ExplorationLedger,
+    audit_artifact,
     ledger_report,
     render_ledger,
 )
@@ -72,6 +73,7 @@ __all__ = [
     "TeeTraceSink",
     "TraceSink",
     "assemble_spans",
+    "audit_artifact",
     "ledger_report",
     "observe_run",
     "profile_breakdown",

@@ -310,6 +310,17 @@ class CoverageTracker:
                 curve[start] += 1
         return sorted(curve.items())
 
+    def bucket_for(self, points: int) -> int:
+        """A saturation bucket width that draws the curve in about
+        ``points`` points."""
+        if not self.samples:
+            return 1000
+        span = max(self.samples) + 1
+        for bucket in (1, 5, 10, 50, 100, 500, 1000, 5000):
+            if span // bucket <= points:
+                return bucket
+        return 10000
+
     def report(self, bucket: int = DEFAULT_BUCKET) -> Dict[str, Any]:
         """Aggregate coverage numbers plus the saturation curve."""
         return {

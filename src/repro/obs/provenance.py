@@ -366,8 +366,53 @@ def ledger_report(source: Any, visited: Optional[int] = None) -> Dict[str, Any]:
     }
 
 
+def audit_artifact(artifact: Mapping[str, Any]) -> Dict[str, Any]:
+    """The provenance audit of a campaign artifact — ``repro report``'s
+    exit code and the badge on its page.
+
+    Returns ``{"ledger": ..., "failure": ...}``: the artifact's ledger
+    (``None`` when it recorded none) and why its books do not balance
+    (``None`` when they do).  They fail when there is no ledger, when its
+    dispositions do not reconcile, or when it disagrees with the
+    artifact's own tallies: an explore's ``runs`` must equal the ledger's
+    completed count, a verify's ``runs + incomplete`` its executed count.
+    """
+    snapshot = artifact.get("provenance")
+    if not snapshot:
+        return {
+            "ledger": None,
+            "failure": "no provenance recorded in this artifact "
+            "(pre-provenance campaign, or a driver invoked without a ledger)",
+        }
+    ledger = ExplorationLedger.from_snapshot(snapshot)
+    books = ledger.reconcile()
+    tallies = artifact.get("tallies") or {}
+    failure = None
+    if not books["balanced"]:
+        failure = (
+            f"UNACCOUNTED SCHEDULES: executed {books['executed']} + pruned "
+            f"{books['pruned']} != roots {books['roots']} + advances "
+            f"{books['advances']}"
+        )
+    elif books["executed"] and "runs" in tallies and artifact.get("kind") in (
+        "explore",
+        "verify",
+    ):
+        if artifact["kind"] == "explore":
+            field, name, claimed = "completed", "runs", tallies["runs"]
+        else:
+            field, name = "executed", "runs+incomplete"
+            claimed = tallies["runs"] + tallies.get("incomplete", 0)
+        if books[field] != claimed:
+            failure = (
+                f"RECONCILIATION MISMATCH: ledger {field} {books[field]} "
+                f"!= artifact {name} {claimed}"
+            )
+    return {"ledger": ledger, "failure": failure}
+
+
 def render_ledger(source: Any, visited: Optional[int] = None) -> str:
-    """ASCII rendering of the audit — what ``repro explain`` prints."""
+    """ASCII rendering of the ledger — the audit ``repro report`` prints."""
     report = ledger_report(source, visited)
     ledger = _as_ledger(source)
     lines = []
@@ -409,6 +454,7 @@ def render_ledger(source: Any, visited: Optional[int] = None) -> str:
 __all__ = [
     "ENERGY_BUCKETS",
     "ExplorationLedger",
+    "audit_artifact",
     "energy_bucket",
     "ledger_report",
     "render_ledger",

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import time
 from contextlib import contextmanager, nullcontext
 from typing import Any, Callable, Dict, List, Optional
 
@@ -257,6 +258,7 @@ def _exhaustive_campaign(
     coverage=None,
     abort_after: int = 0,
     rebase: Optional[Callable[[Any, List[Any]], Any]] = None,
+    progress: Optional[Callable[[List[Any]], Dict[str, Any]]] = None,
 ):
     """Run (or resume) a durable exhaustive campaign, one chunk per shard.
 
@@ -268,8 +270,11 @@ def _exhaustive_campaign(
     the payloads of the shards before it; ``fold(payloads)`` turns all
     payloads, in pin order, into the campaign's result.  A shard run in
     this process gets its chunk span around its work, a forked one
-    around its commit.  A shard whose workers keep dying is recorded
-    quarantined and stops the campaign with a
+    around its commit.  A forked shard's own ``campaign_progress`` events
+    have no sink to reach, so with ``progress`` its commit emits one
+    cumulative event instead, whose fields ``progress(payloads)``
+    computes over every committed payload.  A shard whose workers keep
+    dying is recorded quarantined and stops the campaign with a
     :class:`~repro.store.schema.StoreError`, leaving it ``interrupted``
     for ``resume`` to retry.
     """
@@ -285,6 +290,7 @@ def _exhaustive_campaign(
     )
     payloads: Dict[int, Any] = dict(completed)
     ran_here: set = set()
+    started = time.monotonic()
 
     def chunk_span(sink, index: int):
         path = span_path(("campaign", campaign_id), ("chunk", index))
@@ -311,6 +317,14 @@ def _exhaustive_campaign(
         with nullcontext() if index in ran_here else chunk_span(trace, index):
             writer.chunk_done(index, index, 1, payload)
         payloads[index] = payload
+        if progress is not None and trace is not None and index not in ran_here:
+            trace.emit(
+                "campaign_progress",
+                chunks_done=len(payloads),
+                chunks=len(pins),
+                elapsed_s=time.monotonic() - started,
+                **progress(list(payloads.values())),
+            )
         return payload
 
     with _running(store, campaign_id, kind, trace):
@@ -467,6 +481,15 @@ def durable_verify(
             )
         return report
 
+    def progress(reports):
+        return dict(
+            driver=f"verify_{verify._FAMILIES[checker]}",
+            attempted=sum(r.runs + r.incomplete for r in reports),
+            runs=sum(r.runs for r in reports),
+            failures=sum(len(r.failures) for r in reports),
+            unknown=sum(r.unknown for r in reports),
+        )
+
     def fold(reports):
         merged = verify.VerificationReport()
         for report in reports:
@@ -478,6 +501,7 @@ def durable_verify(
     return _exhaustive_campaign(
         store, campaign_id, "verify", workload, checker, setup, config,
         reduction, shard, fold, workers, trace, coverage, abort_after, rebase,
+        progress if progress_every else None,
     )
 
 

@@ -256,7 +256,7 @@ def _explore_reduced(
     decision stack to the next unexplored leaf.  The
     explorer's optional ``ledger`` receives each attempt's disposition
     — every attempted schedule is recorded exactly once as executed or
-    pruned, which is the reconciliation invariant ``repro explain``
+    pruned, which is the reconciliation invariant ``repro report``
     audits.
     """
     ledger = explorer.ledger

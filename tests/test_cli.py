@@ -527,8 +527,9 @@ class TestReportCommand:
 
 
 class TestBadArtifacts:
-    """``report`` and ``explain`` exit with one line naming the path
-    when the artifact is missing, unreadable or not a JSON object."""
+    """``report`` and its deprecated ``explain`` alias exit with one line
+    naming the path when the artifact is missing, unreadable or not a
+    JSON object."""
 
     COMMANDS = pytest.mark.parametrize("command", ["report", "explain"])
 
@@ -685,16 +686,16 @@ class TestHazardWorkloads:
 
 class TestTrendReport:
     """``report`` takes one artifact and nothing else: ``--json`` is
-    required, and ``--html`` is the only other option."""
+    required, and ``--trace`` and ``--html`` are the only other options."""
 
     def test_report_without_json_still_requires_it(self):
         with pytest.raises(SystemExit, match="--json is required"):
             _run("report")
 
-    def test_report_options_are_json_and_html(self, capsys):
+    def test_report_options_are_json_html_and_trace(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             _run("report", "--help")
         assert excinfo.value.code == 0
         usage = capsys.readouterr().out
         options = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", usage))
-        assert options == {"--help", "--json", "--html"}
+        assert options == {"--help", "--json", "--html", "--trace"}

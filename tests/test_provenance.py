@@ -13,9 +13,9 @@ obligation, so the contracts under test are:
   produces and the greybox proposals it makes are identical with the
   ledger on and off;
 * **surfacing** — drivers snapshot campaign-local ledgers onto reports,
-  durable campaigns checkpoint and re-merge them, ``repro explain``
-  audits artifacts, and the flight recorder renders as one well-formed
-  self-contained HTML page.
+  durable campaigns checkpoint and re-merge them, ``repro report``
+  audits artifacts, and its page — audit and span timeline included —
+  renders as one well-formed self-contained HTML page.
 """
 
 from __future__ import annotations
@@ -530,7 +530,7 @@ class TestDurableProvenance:
 
 
 # ----------------------------------------------------------------------
-# CLI: repro explain + the flight recorder
+# CLI: repro report audits the ledger
 # ----------------------------------------------------------------------
 class _WellFormed(HTMLParser):
     VOID = {"meta", "br", "hr", "img", "input", "link"}
@@ -556,6 +556,10 @@ def _assert_well_formed(markup):
 
 
 class TestExplainCommand:
+    """``report`` audits the ledger: it exits 1 on an artifact without
+    one, on books that do not balance and on a ledger that disagrees
+    with the tallies, and its page carries the same audit."""
+
     def _explore(self, tmp_path, *extra):
         artifact = tmp_path / "campaign.json"
         trace = tmp_path / "trace.jsonl"
@@ -579,7 +583,7 @@ class TestExplainCommand:
 
     def test_balanced_artifact_exits_zero(self, tmp_path, capsys):
         artifact, trace = self._explore(tmp_path)
-        assert main(["explain", "--json", str(artifact)]) == 0
+        assert main(["report", "--json", str(artifact)]) == 0
         out = capsys.readouterr().out
         assert "[balanced]" in out
         assert "race graph" in out
@@ -589,7 +593,7 @@ class TestExplainCommand:
             tmp_path, "--store", str(tmp_path / "c.db"), "--campaign-id", "c1"
         )
         assert (
-            main(["explain", "--json", str(artifact), "--trace", str(trace)])
+            main(["report", "--json", str(artifact), "--trace", str(trace)])
             == 0
         )
         out = capsys.readouterr().out
@@ -600,8 +604,17 @@ class TestExplainCommand:
         self, tmp_path, capsys
     ):
         artifact = tmp_path / "bare.json"
-        artifact.write_text(json.dumps({"kind": "explore", "tallies": {}}))
-        assert main(["explain", "--json", str(artifact)]) == 1
+        artifact.write_text(
+            json.dumps(
+                {
+                    "kind": "explore",
+                    "workload": "exchanger2",
+                    "verdict": "OK",
+                    "tallies": {},
+                }
+            )
+        )
+        assert main(["report", "--json", str(artifact)]) == 1
         assert "no provenance" in capsys.readouterr().out
 
     def test_doctored_artifact_fails_the_audit(self, tmp_path, capsys):
@@ -609,7 +622,7 @@ class TestExplainCommand:
         doctored = json.loads(artifact.read_text())
         doctored["provenance"]["counters"]["schedule.executed"] += 1
         artifact.write_text(json.dumps(doctored))
-        assert main(["explain", "--json", str(artifact)]) == 1
+        assert main(["report", "--json", str(artifact)]) == 1
 
     def test_flight_recorder_is_one_well_formed_page(self, tmp_path, capsys):
         artifact, trace = self._explore(
@@ -619,7 +632,7 @@ class TestExplainCommand:
         assert (
             main(
                 [
-                    "explain",
+                    "report",
                     "--json",
                     str(artifact),
                     "--trace",
@@ -640,6 +653,70 @@ class TestExplainCommand:
             "balanced",
         ):
             assert section in markup, section
+
+    def test_doctored_tallies_fail_the_audit_and_the_page(
+        self, tmp_path, capsys
+    ):
+        artifact, _ = self._explore(tmp_path)
+        doctored = json.loads(artifact.read_text())
+        doctored["tallies"]["runs"] += 1
+        artifact.write_text(json.dumps(doctored))
+        html_path = tmp_path / "doctored.html"
+        assert (
+            main(["report", "--json", str(artifact), "--html", str(html_path)])
+            == 1
+        )
+        assert "RECONCILIATION MISMATCH" in capsys.readouterr().out
+        markup = html_path.read_text()
+        _assert_well_formed(markup)
+        assert "RECONCILIATION MISMATCH" in markup
+        assert "verdict-ok'>balanced" not in markup
+
+    def test_doctored_verify_tallies_fail_the_audit(self, tmp_path, capsys):
+        artifact = tmp_path / "verify.json"
+        argv = ["verify", "--workload", "exchanger2", "--reduction", "dpor"]
+        assert main([*argv, "--quiet", "--json", str(artifact)]) == 0
+        assert main(["report", "--json", str(artifact)]) == 0
+        doctored = json.loads(artifact.read_text())
+        doctored["tallies"]["incomplete"] += 1
+        artifact.write_text(json.dumps(doctored))
+        assert main(["report", "--json", str(artifact)]) == 1
+        assert "runs+incomplete" in capsys.readouterr().out
+
+    def test_report_prints_every_section_in_order(self, tmp_path, capsys):
+        artifact, trace = self._explore(
+            tmp_path, "--store", str(tmp_path / "c.db"), "--campaign-id", "c1"
+        )
+        capsys.readouterr()
+        html_path = tmp_path / "page.html"
+        argv = ["--json", str(artifact), "--trace", str(trace)]
+        assert main(["report", *argv, "--html", str(html_path)]) == 0
+        out = capsys.readouterr().out
+        marks = [
+            "explore exchanger2",
+            "schedule-space coverage",
+            "schedule dispositions",
+            "span timeline",
+            "HTML report written",
+        ]
+        positions = [out.index(mark) for mark in marks]
+        assert positions == sorted(positions)
+
+    def test_explain_alias_is_deprecated_but_equivalent(
+        self, tmp_path, capsys
+    ):
+        artifact, _ = self._explore(tmp_path)
+        doctored_path = tmp_path / "doctored.json"
+        doctored = json.loads(artifact.read_text())
+        doctored["provenance"]["counters"]["schedule.executed"] += 1
+        doctored_path.write_text(json.dumps(doctored))
+        capsys.readouterr()
+        for path in (artifact, doctored_path):
+            code = main(["report", "--json", str(path)])
+            assert "deprecated" not in capsys.readouterr().err
+            assert main(["explain", "--json", str(path)]) == code
+            err = capsys.readouterr().err
+            assert "explain is deprecated and will be removed: use report" in err
 
     def test_report_page_carries_the_provenance_section(self, tmp_path):
         artifact, _ = self._explore(tmp_path)

@@ -14,13 +14,20 @@ from __future__ import annotations
 import json
 import os
 import signal
+from io import StringIO
 
 import pytest
 
 from repro.checkers import fuzz_cal, fuzz_cal_parallel
 from repro.checkers.parallel import _fork_context
 from repro.checkers.verify import verify_cal
-from repro.cli import WORKLOADS, _durable_config, build_parser, main
+from repro.cli import (
+    WORKLOADS,
+    ProgressRenderer,
+    _durable_config,
+    build_parser,
+    main,
+)
 from repro.obs.coverage import CoverageTracker
 from repro.obs.metrics import Metrics
 from repro.obs.tracing import TraceSink
@@ -327,6 +334,32 @@ class TestDurableVerify:
         assert resumed.nodes == sequential.nodes
         assert resumed.verdict == sequential.verdict
         assert resumed_cov.snapshot() == seq_cov.snapshot()
+
+    @pytest.mark.skipif(
+        _fork_context() is None, reason="fork start method unavailable"
+    )
+    def test_forked_shards_report_cumulative_progress(self, store):
+        """Shards verified in forked workers cannot reach the trace, so
+        each commit emits one cumulative ``campaign_progress`` event the
+        live line can draw."""
+        w = WORKLOADS["exchanger2"]
+        sink = TraceSink()
+        report = durable_verify(
+            store, "v2", "exchanger2", "cal", w.make_setup(), w.make_spec(),
+            {"max_steps": w.max_steps}, workers=2, trace=sink,
+            progress_every=200,
+            driver_kwargs=dict(search=True, check_witness=w.check_witness),
+        )
+        events = [e for e in sink.events if e["event"] == "campaign_progress"]
+        assert [e["chunks_done"] for e in events] == [1, 2]
+        assert all(e["chunks"] == 2 for e in events)
+        final = events[-1]
+        assert final["attempted"] == report.runs + report.incomplete
+        assert final["runs"] == report.runs
+        assert final["failures"] == len(report.failures)
+        stream = StringIO()
+        ProgressRenderer(stream=stream).emit(**final)
+        assert f"ok={report.runs}" in stream.getvalue()
 
 
 class TestDurableExplore:
