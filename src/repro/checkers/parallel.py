@@ -1,36 +1,38 @@
-"""Parallel campaign runner: fan fuzz seed ranges and explore shards
-across ``multiprocessing`` workers.
+"""Parallel campaign runner: fan fuzz seed ranges and explore/verify
+shards across ``multiprocessing`` workers.
 
 The searches themselves are deterministic per input (a fuzz run is a
-pure function of its seed; an explore shard is a pure function of its
-pinned prefix), so parallelism is a pure partitioning problem, and every
-campaign — fuzz, explore and verify, inline or store-backed — runs its
-chunks through one runner, :func:`_run_chunks`:
+pure function of its seed; an exhaustive shard is a pure function of
+its pinned prefix), so parallelism is a pure partitioning problem.
+Every campaign — fuzz, explore and verify, inline or store-backed —
+plans its chunks here and runs them through one runner with one commit,
+:func:`_run_chunks`:
 
 * **Fuzz campaigns** (:func:`fuzz_cal_parallel`,
   :func:`fuzz_linearizability_parallel`) split the seed sequence into
-  contiguous chunks — one per worker — run each chunk through the
-  sequential driver, shrinking included, and merge the per-chunk
-  :class:`~repro.checkers.fuzz.FuzzReport` tallies.  A uniform failure
-  and its shrink are a pure function of its seed, so every failure,
-  in its original seed order, is identical to the sequential runner's
-  regardless of worker count.
+  contiguous chunks — one per worker, or one per ``checkpoint_every``
+  seeds — run each through the sequential driver, shrinking included,
+  and merge the per-chunk :class:`~repro.checkers.fuzz.FuzzReport`
+  tallies.  A uniform failure and its shrink are a pure function of its
+  seed, so every failure, in seed order, is identical to the sequential
+  runner's regardless of worker count.
 
-* **Explore campaigns** (:func:`explore_parallel`, and the durable
-  explore/verify campaigns of :mod:`repro.store.campaigns`) shard the
-  schedule space by the first decision point: a probe run discovers its
-  arity (:func:`~repro.substrate.explore.shard_plan`), then each worker
-  enumerates one ``pin_prefix=[k]`` subtree
-  (:func:`~repro.substrate.explore.explore_all`).  Concatenating shard
-  results in pin order reproduces exactly the sequential enumeration
-  order, so downstream consumers cannot tell the difference.
+* **Exhaustive campaigns** (:func:`explore_parallel` and the sharded
+  verify runner behind durable verify) shard the schedule space by the
+  first decision point (:func:`~repro.substrate.explore.shard_plan`,
+  called from :func:`_shard_tasks` only); each worker enumerates one
+  ``pin_prefix=[k]`` subtree.  Concatenating shard results in pin order
+  reproduces exactly the sequential enumeration order.
 
 The runner commits chunks in the parent in *chunk-index order* — a
 chunk that finishes early waits in memory until the chunks before it
 land — so a checkpointed campaign writes the same chunks in the same
-order at any worker count.  A chunk gets the campaign's trace sink only
-when it runs in the parent; a forked child gets ``None`` (forked writers
-would interleave lines), so its per-run events are not traced.
+order at any worker count.  Each kind supplies only its policies: what
+a lost chunk becomes, an optional rebase (verify's coverage offset) and
+its progress tallies.  A chunk gets the campaign's trace sink only when
+it runs in the parent; a forked child gets ``None`` (forked writers
+would interleave lines), so its per-run events are not traced, and the
+commit emits one cumulative ``campaign_progress`` event per chunk.
 
 **Budget propagation.**  Campaigns take a ``deadline`` (seconds); the
 parent converts it to an absolute ``time.monotonic()`` instant that is
@@ -43,29 +45,27 @@ apply per shard — a shared counter would serialize the workers.
 fire-and-collect pool: a worker that *dies* without delivering a result
 (SIGKILL, OOM, segfault) is retried with exponential backoff up to
 ``max_retries`` times, and a task whose workers keep dying is
-**quarantined** — it yields a :class:`WorkerFailure` sentinel instead of
-aborting the campaign, and the fuzz runners convert the lost chunk into
-explicit ``skipped`` seeds (plus a ``report.quarantined`` entry) so the
-loss is never silent.  A Python exception *inside* a task is different:
-it is deterministic, so it still aborts — now with the worker's full
-traceback.  ``task_timeout`` bounds any single attempt; after the
-campaign deadline (plus a grace period) hung workers are killed and
-their tasks quarantined, salvaging every completed partial.
+**quarantined** — it yields a :class:`WorkerFailure` sentinel, which the
+commit records and turns into explicit ``skipped`` seeds (fuzz), a
+tripped budget or an error (inline explore) or a
+:class:`~repro.store.schema.StoreError` (durable explore and verify),
+so the loss is never silent.  A Python exception *inside* a task is
+deterministic, so it aborts with the worker's full traceback.
+``task_timeout`` bounds any single attempt; after the campaign deadline
+(plus a grace period) hung workers are killed and their tasks
+quarantined, salvaging every completed partial.
 
-**Checkpointing.**  The fuzz runners accept a ``checkpoint`` writer
-(see :class:`repro.store.checkpoint.CheckpointWriter`): with
-``checkpoint_every`` the seed sequence is chunked by that count instead
-of per worker, each finished chunk's partial report is persisted as it
-is committed, and ``completed`` (chunk index → restored partial) lets a
-resumed campaign skip work already in the store.  Because the merge is
-associative and order-restoring, a resumed campaign's merged report
-equals an uninterrupted run's exactly.
+**Checkpointing.**  Every runner accepts a ``checkpoint`` writer (see
+:class:`repro.store.checkpoint.CheckpointWriter`), which persists each
+chunk as it is committed, and ``completed`` (chunk index → restored
+chunk), which skips work already in the store.  Because the merges are
+associative and order-restoring, a resumed campaign's result equals an
+uninterrupted run's exactly.
 
 **Fallback.**  Without the ``fork`` start method (or with one worker, or
-fewer work items than workers would help with), campaigns run inline in
-the parent — same results, no processes.  ``fork`` is required because
-setup closures and spec objects need not be picklable; only *results*
-cross process boundaries.
+one chunk), campaigns run inline in the parent — same results, no
+processes.  ``fork`` is required because setup closures and spec
+objects need not be picklable; only *results* cross process boundaries.
 """
 
 from __future__ import annotations
@@ -74,7 +74,10 @@ import multiprocessing
 import os
 import time
 import traceback
-from collections import deque
+from collections import Counter, deque
+from contextlib import nullcontext
+from functools import partial
+from itertools import accumulate
 from multiprocessing.connection import wait as _wait_ready
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -82,8 +85,9 @@ from repro.checkers import fuzz as fuzz_drivers
 from repro.checkers.caspec import CASpec
 from repro.checkers.fuzz import FuzzReport
 from repro.checkers.seqspec import SequentialSpec
-from repro.checkers.verify import _fold_back
+from repro.checkers import verify
 from repro.obs.provenance import ExplorationLedger
+from repro.obs.tracing import TraceSink, span_path
 from repro.substrate.explore import (
     ExploreBudget,
     SetupFn,
@@ -321,24 +325,129 @@ def _map_forked(
         raise
 
 
+#: ``campaign_progress`` fields that add up across chunks.
+_ADDITIVE = ("attempted", "runs", "failures", "unknown", "skipped", "steps")
+
+
+class _Rebased(TraceSink):
+    """The campaign sink as a chunk run in this process sees it.
+
+    The chunk's driver counts from zero; its ``campaign_progress``
+    events get the tallies of the chunks committed before it added, and
+    the campaign's clock and total, so the live line never steps back.
+    Every other event passes through unchanged.
+    """
+
+    def __init__(self, sink, base: Counter, started: float, total) -> None:
+        super().__init__()
+        self.sink, self.base, self.started, self.total = sink, base, started, total
+
+    def _write(self, record: Dict[str, Any]) -> None:
+        if record["event"] == "campaign_progress":
+            for key in _ADDITIVE:
+                if key in record:
+                    record[key] += self.base[key]
+            record["elapsed_s"] = time.monotonic() - self.started
+            if self.total is not None:
+                record["total"] = self.total
+        self.sink._write(record)
+
+
+def _fresh(instrument, **kwargs):
+    """A chunk's private instrument, of the caller's class so profiling
+    hooks survive the fork, or ``None``; a coverage tracker keeps the
+    caller's prefix depth.  Its snapshot rides back on the chunk's
+    report and the parent merges them — merging is associative and
+    commutative, so the totals equal a sequential campaign's."""
+    if instrument is None:
+        return None
+    if "offset" in kwargs:
+        kwargs["prefix_depth"] = instrument.prefix_depth
+    return type(instrument)(**kwargs)
+
+
 def _run_chunks(
     tasks: Sequence[Callable[[Any], Any]],
     workers: int,
-    commit: Callable[[int, Any], Any],
+    *,
+    driver: str,
+    lost: Callable[[int, WorkerFailure], Any],
+    tally: Callable[[int, Any], Dict[str, int]],
+    rows: Optional[Sequence[Tuple[int, int]]] = None,
+    rebase: Optional[Callable[[Any, List[Any]], Any]] = None,
+    stored: Callable[[Any], Any] = lambda value: value,
+    trace=None,
+    checkpoint=None,
     completed: Optional[Mapping[int, Any]] = None,
+    total: Optional[int] = None,
     **supervise: Any,
 ) -> List[Any]:
-    """The one chunk runner behind every campaign.
+    """The one chunk runner behind every campaign, and its one commit.
 
     Runs the tasks of the chunks missing from ``completed`` (chunk index
     → value restored from a checkpoint) with :func:`_map_forked`, which
-    takes the ``supervise`` keywords, and hands each result (or
-    :class:`WorkerFailure`) to ``commit(index, result)`` in chunk-index
-    order.  ``commit`` checkpoints the chunk and returns what the
-    campaign keeps of it, or raises to stop the campaign.  Returns the
-    kept values of every chunk, in chunk order.
+    takes the ``supervise`` keywords, and commits each result in
+    chunk-index order.  Returns every chunk's kept value, in chunk order.
+
+    The commit is the same for every campaign kind: a result is rebased
+    (``rebase(value, values of the chunks before it)``), checkpointed as
+    ``stored(value)`` under its row (``rows[index]`` = ``(seed_start,
+    seed_count)``, by default ``(index, 1)``: one shard), and counted
+    into one cumulative ``campaign_progress`` event whose additive
+    fields are the sums of ``tally(index, value)`` over the kept chunks.
+    A :class:`WorkerFailure` is recorded quarantined and becomes
+    ``lost(index, failure)``, which may raise to stop the campaign.
+
+    With a ``checkpoint``, each chunk gets a ``campaign=<id>/chunk=<n>``
+    span: around its work when it runs in this process, around its
+    commit when it ran in a forked worker.  A chunk run in this process
+    traces into a :class:`_Rebased` view of the sink.
     """
     kept = dict(completed or {})
+    counts: Counter = Counter()
+    for index in sorted(kept):
+        counts.update(tally(index, kept[index]))
+    started = time.monotonic()
+    ran_here: set = set()
+
+    def chunk_span(sink, index: int):
+        if sink is None or checkpoint is None:
+            return nullcontext()
+        path = span_path(("campaign", checkpoint.campaign_id), ("chunk", index))
+        return sink.span("chunk", span_id=path, chunk=index)
+
+    def run(index: int, sink) -> Any:
+        ran_here.add(index)  # a forked child adds to its own copy
+        if sink is None:
+            return tasks[index](None)
+        with chunk_span(sink, index):
+            return tasks[index](_Rebased(sink, counts.copy(), started, total))
+
+    def commit(index: int, result: Any) -> None:
+        start, size = (index, 1) if rows is None else rows[index]
+        if isinstance(result, WorkerFailure):
+            if checkpoint is not None:
+                checkpoint.chunk_quarantined(index, start, size, result.error)
+            result = lost(index, result)
+        else:
+            if rebase is not None:
+                result = rebase(result, [kept[k] for k in range(index)])
+            if checkpoint is not None:
+                with nullcontext() if index in ran_here else chunk_span(trace, index):
+                    checkpoint.chunk_done(index, start, size, stored(result))
+        kept[index] = result
+        counts.update(tally(index, result))
+        if trace is not None:
+            fields = dict(counts) if total is None else dict(counts, total=total)
+            trace.emit(
+                "campaign_progress",
+                driver=driver,
+                chunks_done=len(kept),
+                chunks=len(tasks),
+                elapsed_s=time.monotonic() - started,
+                **fields,
+            )
+
     remaining = [index for index in range(len(tasks)) if index not in kept]
     due = deque(remaining)
     landed: Dict[int, Any] = {}
@@ -347,9 +456,12 @@ def _run_chunks(
         landed[remaining[local_index]] = result
         while due and due[0] in landed:
             index = due.popleft()
-            kept[index] = commit(index, landed.pop(index))
+            commit(index, landed.pop(index))
 
-    _map_forked([tasks[index] for index in remaining], workers, land, **supervise)
+    _map_forked(
+        [partial(run, index) for index in remaining], workers, land,
+        trace=trace, **supervise,
+    )
     return [kept[index] for index in range(len(tasks))]
 
 
@@ -426,111 +538,75 @@ def _fuzz_parallel(
         chunks = _chunk_every(seeds, checkpoint_every)
     else:
         chunks = _chunk(seeds, workers)
-    completed = dict(completed or {})
-    started = time.monotonic()
     # Global position of each chunk's first seed: worker coverage
     # trackers sample at offset + local position, so merged saturation
     # curves are keyed by the *sequential* seed position regardless of
     # worker count.
-    offsets: List[int] = []
-    total = 0
-    for chunk in chunks:
-        offsets.append(total)
-        total += len(chunk)
+    offsets = list(accumulate((len(chunk) for chunk in chunks[:-1]), initial=0))
 
-    def task_for(chunk: List[int], offset: int) -> Callable[[Any], FuzzReport]:
-        # Each worker owns a private registry/tracker (created inside the
-        # forked closure, of the caller's classes so profiling hooks
-        # survive the fork); snapshots ride back on the report and the
-        # parent merges them — merging is associative and commutative, so
-        # the totals equal a sequential campaign over the same seeds.
-        def run_chunk(sink) -> FuzzReport:
-            chunk_coverage = None
-            if coverage is not None:
-                chunk_coverage = type(coverage)(
-                    prefix_depth=coverage.prefix_depth, offset=offset
-                )
-            return driver(
-                setup,
-                spec,
-                seeds=chunk,
-                deadline_at=deadline_at,
-                metrics=type(metrics)() if metrics is not None else None,
-                trace=sink,
-                coverage=chunk_coverage,
-                dedup=dedup,
-                guidance=guidance,
-                corpus=corpus,
-                provenance=type(provenance)() if provenance is not None else None,
-                **check,
-            )
-        return run_chunk
-
-    finished = {"chunks": 0, "attempted": 0}
-    progress = FuzzReport()
-    seen_histories: set = set()
-    for index in sorted(completed):
-        finished["chunks"] += 1
-        finished["attempted"] += len(chunks[index])
-
-    def commit(index: int, partial) -> FuzzReport:
-        chunk, offset = chunks[index], offsets[index]
-        if isinstance(partial, WorkerFailure):
-            if checkpoint is not None:
-                checkpoint.chunk_quarantined(
-                    index, offset, len(chunk), partial.error
-                )
-            # The lost chunk's explicit stand-in: every seed skipped.
-            lost = {
-                "chunk": index, "seed_start": offset, "seed_count": len(chunk),
-                "error": partial.error, "attempts": partial.attempts,
-            }
-            partial = FuzzReport(skipped=len(chunk), quarantined=[lost])
-        elif checkpoint is not None:
-            checkpoint.chunk_done(index, offset, len(chunk), partial)
-        finished["chunks"] += 1
-        finished["attempted"] += len(chunk)
-        if trace is None or not progress_every:
-            return partial
-        progress.runs += partial.runs
-        progress.unknown += partial.unknown
-        progress.skipped += partial.skipped
-        progress.failures.extend(partial.failures)
-        live = {}
-        if partial.coverage is not None:
-            seen_histories.update(partial.coverage.get("histories", ()))
-            live["distinct_histories"] = len(seen_histories)
-        trace.emit(
-            "campaign_progress",
-            driver=f"fuzz_{family}",
-            attempted=finished["attempted"],
-            total=total,
-            chunks_done=finished["chunks"],
-            chunks=len(chunks),
-            runs=progress.runs,
-            failures=len(progress.failures),
-            unknown=progress.unknown,
-            skipped=progress.skipped,
-            elapsed_s=time.monotonic() - started,
-            **live,
+    def run_chunk(chunk: List[int], offset: int, sink) -> FuzzReport:
+        return driver(
+            setup,
+            spec,
+            seeds=chunk,
+            deadline_at=deadline_at,
+            metrics=_fresh(metrics),
+            trace=sink,
+            coverage=_fresh(coverage, offset=offset),
+            progress_every=progress_every,
+            dedup=dedup,
+            guidance=guidance,
+            corpus=corpus,
+            provenance=_fresh(provenance),
+            **check,
         )
-        return partial
+
+    seen_histories: set = set()
+
+    def tally(index: int, report: FuzzReport) -> Dict[str, int]:
+        counts = {
+            "attempted": len(chunks[index]),
+            "runs": report.runs,
+            "failures": len(report.failures),
+            "unknown": report.unknown,
+            "skipped": report.skipped,
+        }
+        if coverage is not None:
+            before = len(seen_histories)
+            seen_histories.update((report.coverage or {}).get("histories", ()))
+            counts["distinct_histories"] = len(seen_histories) - before
+        return counts
+
+    def lost(index: int, failure: WorkerFailure) -> FuzzReport:
+        # The lost chunk's explicit stand-in: every seed skipped.
+        chunk = chunks[index]
+        quarantined = {
+            "chunk": index, "seed_start": offsets[index],
+            "seed_count": len(chunk), "error": failure.error,
+            "attempts": failure.attempts,
+        }
+        return FuzzReport(skipped=len(chunk), quarantined=[quarantined])
 
     # Contiguous chunks merged in order ⇒ merged.failures is already in
     # original seed order, each failure shrunk in its own chunk.
     merged = FuzzReport()
-    for partial in _run_chunks(
-        [task_for(chunk, offset) for chunk, offset in zip(chunks, offsets)],
+    for report in _run_chunks(
+        [partial(run_chunk, chunk, offset) for chunk, offset in zip(chunks, offsets)],
         workers,
-        commit,
-        completed,
+        driver=f"fuzz_{family}",
+        lost=lost,
+        tally=tally,
+        rows=[(offset, len(chunk)) for chunk, offset in zip(chunks, offsets)],
         trace=trace,
+        checkpoint=checkpoint,
+        completed=completed,
+        total=len(seeds),
         task_timeout=task_timeout,
         max_retries=max_retries,
         deadline_at=deadline_at,
     ):
-        merged.merge(partial)
-    return _fold_back(merged, metrics, coverage, provenance)
+        merged.merge(report)
+    return verify._fold_back(merged, metrics, coverage, provenance)
 
 
 def fuzz_cal_parallel(setup: SetupFn, spec: CASpec, **kwargs) -> FuzzReport:
@@ -551,8 +627,9 @@ def fuzz_cal_parallel(setup: SetupFn, spec: CASpec, **kwargs) -> FuzzReport:
     ``coverage`` behaves the same way: workers track their chunk at its
     global seed offset and the merged tracker equals a sequential run's
     (:meth:`~repro.obs.coverage.CoverageTracker.snapshot` byte-identical).
-    ``progress_every > 0`` with a trace sink emits one cumulative
-    ``campaign_progress`` event per finished chunk.
+    With a trace sink, every committed chunk emits one cumulative
+    ``campaign_progress`` event, and with ``progress_every > 0`` a chunk
+    run in this process also emits one every that many seeds.
 
     Durability hooks: ``checkpoint`` (a
     :class:`~repro.store.checkpoint.CheckpointWriter`-shaped object)
@@ -594,32 +671,33 @@ def fuzz_linearizability_parallel(
 
 
 # ----------------------------------------------------------------------
-# Explore campaigns
+# Exhaustive campaigns: one chunk per first-decision shard
 # ----------------------------------------------------------------------
-def _sanitize(result: RunResult) -> RunResult:
-    """Strip the unpicklable ``World`` before a result crosses a pipe."""
-    result.world = None
-    return result
-
-
-def _explore_shard(
-    setup: SetupFn, pin: List[int], sleep_seed, provenance, **explore: Any
-) -> Tuple[List[RunResult], Optional[dict]]:
-    """One first-decision shard's sanitised results, plus (with
-    ``provenance``) the snapshot of the private ledger it recorded into;
-    ``explore`` goes to :func:`~repro.substrate.explore.explore_all`."""
-    ledger = type(provenance)() if provenance is not None else None
-    results = [
-        _sanitize(result)
-        for result in explore_all(
-            setup,
-            pin_prefix=pin,
-            sleep_seed=sleep_seed,
-            provenance=ledger,
-            **explore,
-        )
+def _shard_tasks(
+    setup: SetupFn, max_steps: Optional[int], reduction: str, sharded: bool,
+    run_shard: Callable[[List[int], Optional[dict], Any], Any],
+) -> List[Callable[[Any], Any]]:
+    """One task per shard, calling ``run_shard(pin_prefix, sleep_seed,
+    sink)``: the first-decision shards of
+    :func:`~repro.substrate.explore.shard_plan`, or one unsharded sweep."""
+    if not sharded:
+        return [partial(run_shard, [], None)]
+    pins, seeds = shard_plan(setup, max_steps, reduction)
+    return [
+        partial(run_shard, pin, seed)
+        for pin, seed in zip(pins, seeds or [None] * len(pins))
     ]
-    return results, None if ledger is None else ledger.snapshot()
+
+
+def _lost_shard(kind: str, checkpoint, index: int, failure: WorkerFailure):
+    """A durable shard whose workers keep dying stops the campaign,
+    which stays ``interrupted`` for ``resume`` to retry the shard."""
+    from repro.store.schema import StoreError
+
+    raise StoreError(
+        f"{kind} campaign {checkpoint.campaign_id}: shard {index} lost after "
+        f"{failure.attempts} attempt(s) ({failure.error}); resume retries it"
+    )
 
 
 def explore_parallel(
@@ -634,6 +712,9 @@ def explore_parallel(
     coverage=None,
     reduction: str = "none",
     provenance=None,
+    progress_every: int = 0,
+    checkpoint=None,
+    completed: Optional[Mapping[int, Any]] = None,
 ) -> List[RunResult]:
     """Enumerate all runs, sharded by the first decision point.
 
@@ -651,52 +732,63 @@ def explore_parallel(
     ``metrics`` counts ``explore.runs``/``explore.steps`` over the merged
     results and ``explore.budget_trips`` when the campaign was cut.
     ``coverage`` observes the merged results in enumeration order, so
-    sharded and sequential campaigns produce identical trackers.
+    sharded and sequential campaigns produce identical trackers.  With
+    a trace sink every committed shard emits one cumulative
+    ``campaign_progress`` event, and with ``progress_every > 0`` a shard
+    run in this process also emits one every that many runs.
 
-    ``reduction="sleep-set"`` / ``reduction="dpor"`` apply partial-order
-    reduction per shard, with the shards exchanging reduction knowledge
-    at their boundaries: shard ``k`` starts with the first-step
-    footprints of shards ``0..k-1`` asleep (see
-    :func:`~repro.substrate.explore.shard_sleep_seeds`) — the sleep
-    state a sequential reduced sweep holds when it enters the root's
-    ``k``-th branch — so the sharded sweep prunes like the unsharded
-    one and the concatenated shard results equal the sequential reduced
-    enumeration.
+    ``reduction="sleep-set"`` / ``reduction="dpor"`` reduce each shard,
+    and shard ``k`` starts with the first-step footprints of shards
+    ``0..k-1`` asleep (:func:`~repro.substrate.explore.shard_sleep_seeds`),
+    so the concatenated shard results equal the sequential reduced
+    enumeration.  ``provenance`` (an
+    :class:`~repro.obs.provenance.ExplorationLedger`) receives the merge
+    of the private ledgers the shards record into.
 
-    ``provenance`` (an :class:`~repro.obs.provenance.ExplorationLedger`)
-    audits reduced sweeps: each shard records into a private ledger
-    whose snapshot rides back beside the shard results, and the parent
-    folds them — the merged ledger's dispositions reconcile against the
-    merged visited-schedule count exactly as a sequential sweep's do.
+    Durability hooks, as for the fuzz runners: with a ``checkpoint``
+    writer the sweep is always sharded, each shard is committed as a
+    chunk (its result list, or ``{"results", "provenance"}`` with a
+    ledger) and ``completed`` (shard index → restored chunk) skips the
+    shards a prior run committed; a lost shard then stops the campaign
+    with a :class:`~repro.store.schema.StoreError`.  A ``budget`` cannot
+    be combined with a ``checkpoint``.
     """
     validate_exploration(reduction, preemption_bound=preemption_bound)
+    if budget is not None and checkpoint is not None:
+        raise ValueError("a budget-cut shard has no stable boundary to resume from")
     workers = default_workers() if workers is None else workers
     if budget is not None:
         budget.start()
-    pins, seeds = (
-        shard_plan(setup, max_steps, reduction) if workers > 1 else ([[]], None)
+
+    def run_shard(pin: List[int], sleep_seed, sink) -> tuple:
+        # A shard budget always counts the runs and steps it visits.
+        shard_budget = ExploreBudget(*limits)
+        ledger = _fresh(provenance)
+        results = list(
+            explore_all(
+                setup, max_steps=max_steps, budget=shard_budget,
+                include_incomplete=include_incomplete,
+                preemption_bound=preemption_bound, pin_prefix=pin,
+                trace=sink, progress_every=progress_every,
+                reduction=reduction, sleep_seed=sleep_seed,
+                provenance=ledger,
+            )
+        )
+        for result in results:
+            result.world = None  # unpicklable; results cross pipes and stores
+        snapshot = None if ledger is None else ledger.snapshot()
+        return results, shard_budget, snapshot
+
+    tasks = _shard_tasks(
+        setup, max_steps, reduction, workers > 1 or checkpoint is not None,
+        run_shard,
     )
     remaining = budget.remaining_deadline() if budget is not None else None
+    limits = () if budget is None else (budget.max_runs, budget.step_budget, remaining)
 
-    def shard_task(index: int) -> Callable[[Any], tuple]:
-        def run_shard(sink) -> tuple:
-            shard_budget = None
-            if budget is not None:
-                shard_budget = ExploreBudget(
-                    budget.max_runs, budget.step_budget, remaining
-                )
-            results, ledger = _explore_shard(
-                setup, pins[index], None if seeds is None else seeds[index],
-                provenance, max_steps=max_steps, budget=shard_budget,
-                include_incomplete=include_incomplete,
-                preemption_bound=preemption_bound, reduction=reduction,
-            )
-            return results, shard_budget or ExploreBudget(), ledger
-        return run_shard
-
-    def commit(pin: int, shard):
-        if not isinstance(shard, WorkerFailure):
-            return shard
+    def lost(pin: int, failure: WorkerFailure) -> tuple:
+        if checkpoint is not None:
+            _lost_shard("explore", checkpoint, pin, failure)
         # A lost shard means the sweep is no longer exhaustive.  With a
         # budget, degrade gracefully (tripped → UNKNOWN downstream);
         # without one the caller has no degradation channel, so the loss
@@ -704,17 +796,38 @@ def explore_parallel(
         if budget is None:
             raise RuntimeError(
                 f"explore shard {pin} quarantined after "
-                f"{shard.attempts} attempt(s): {shard.error}"
+                f"{failure.attempts} attempt(s): {failure.error}"
             )
-        reason = f"shard {pin} quarantined ({shard.error})"
+        reason = f"shard {pin} quarantined ({failure.error})"
         return [], ExploreBudget(tripped=True, reason=reason), None
+
+    def restored(payload) -> tuple:
+        # Ledger-off (and pre-provenance) chunks are bare result lists.
+        results, ledger = payload, None
+        if isinstance(payload, dict):
+            results, ledger = payload["results"], payload.get("provenance")
+        steps = sum(result.steps for result in results)
+        return results, ExploreBudget(runs=len(results), steps=steps), ledger
+
+    def stored(shard: tuple):
+        results, _, ledger = shard
+        return results if ledger is None else {"results": results, "provenance": ledger}
+
+    def tally(_, shard: tuple) -> Dict[str, int]:
+        results, visited, _ = shard
+        return {"attempted": visited.runs, "runs": len(results), "steps": visited.steps}
 
     merged: List[RunResult] = []
     for results, shard_budget, shard_ledger in _run_chunks(
-        [shard_task(index) for index in range(len(pins))],
+        tasks,
         workers,
-        commit,
+        driver="explore",
+        lost=lost,
+        tally=tally,
+        stored=stored,
         trace=trace,
+        checkpoint=checkpoint,
+        completed={k: restored(v) for k, v in (completed or {}).items()},
         deadline_at=None if remaining is None else time.monotonic() + remaining,
     ):
         merged.extend(results)
@@ -726,32 +839,101 @@ def explore_parallel(
             if shard_budget.tripped and not budget.tripped:
                 budget.tripped = True
                 budget.reason = shard_budget.reason
-    _observe_explore(metrics, trace, merged, budget, coverage)
-    return merged
-
-
-def _observe_explore(
-    metrics, trace, results: List[RunResult], budget, coverage=None
-) -> None:
-    """Fold a finished explore campaign into metrics/trace/coverage sinks.
-
-    Counts are taken from the *merged* results, so sharded and sequential
-    campaigns record identical ``explore.*`` totals (and, with a
-    ``coverage`` tracker, identical snapshots — positions follow the
-    sequential enumeration order).
-    """
+    # Counts come from the merged results, in enumeration order, so
+    # sharded and sequential campaigns record identical totals and
+    # coverage snapshots.
     if metrics is not None:
-        metrics.count("explore.runs", len(results))
-        metrics.count("explore.steps", sum(r.steps for r in results))
+        metrics.count("explore.runs", len(merged))
+        metrics.count("explore.steps", sum(r.steps for r in merged))
         if budget is not None and budget.tripped:
             metrics.count("explore.budget_trips")
     if coverage is not None:
-        for position, result in enumerate(results):
+        for position, result in enumerate(merged):
             coverage.observe_run(position, result.schedule, result.history)
     if trace is not None:
         trace.emit(
             "explore_end",
-            runs=len(results),
+            runs=len(merged),
             tripped=bool(budget is not None and budget.tripped),
             reason=None if budget is None else budget.reason,
         )
+    return merged
+
+
+def _verify_sharded(
+    family: str, setup: SetupFn, spec, *, max_steps: Optional[int] = None,
+    workers: int = 1, metrics=None, trace=None, coverage=None,
+    progress_every: int = 0, checkpoint=None,
+    completed: Optional[Mapping[int, Any]] = None, provenance=None, **check,
+):
+    """``verify_<family>`` by first-decision shards, one chunk each.
+
+    Each shard is verified with ``pin_prefix=[k]`` (and, when ``check``
+    carries a ``reduction``, the sleep seed of its siblings — see
+    :func:`~repro.substrate.explore.shard_sleep_seeds`); per-shard
+    reports merge in pin order to exactly an unsharded sweep's report
+    (:meth:`~repro.checkers.verify.VerificationReport.merge`).  A shard
+    records coverage from position 0; at commit its samples are shifted
+    by the runs attempted in the shards before it, so checkpointed
+    reports hold campaign-wide positions and merged saturation curves
+    equal a sequential campaign's at any worker count.
+    """
+    driver = getattr(verify, f"verify_{family}")
+
+    def run_shard(pin: List[int], sleep_seed, sink):
+        return driver(
+            setup, spec, max_steps=max_steps, metrics=_fresh(metrics),
+            trace=sink, coverage=_fresh(coverage, offset=0),
+            progress_every=progress_every, pin_prefix=pin,
+            sleep_seed=sleep_seed, provenance=_fresh(provenance), **check,
+        )
+
+    def rebase(report, before):
+        if report.coverage is not None:
+            offset = sum(prior.runs + prior.incomplete for prior in before)
+            report.coverage = dict(
+                report.coverage,
+                samples=[
+                    [position + offset, fingerprint]
+                    for position, fingerprint in report.coverage["samples"]
+                ],
+            )
+        return report
+
+    merged = verify.VerificationReport()
+    for report in _run_chunks(
+        _shard_tasks(
+            setup, max_steps, check.get("reduction", "none"), True, run_shard
+        ),
+        workers,
+        driver=f"verify_{family}",
+        lost=lambda index, failure: _lost_shard("verify", checkpoint, index, failure),
+        tally=lambda _, report: {
+            "attempted": report.runs + report.incomplete, "runs": report.runs,
+            "failures": len(report.failures), "unknown": report.unknown,
+        },
+        rebase=rebase,
+        trace=trace,
+        checkpoint=checkpoint,
+        completed=completed,
+    ):
+        # Restored shard reports carry their ledger snapshots (they ride
+        # inside the pickled report), so resume needs no special casing.
+        merged.merge(report)
+    return verify._fold_back(merged, metrics, coverage, provenance)
+
+
+def campaign_runner(kind: str, checker: str) -> Callable[..., Any]:
+    """The runner of a ``kind`` campaign (``"fuzz"``, ``"explore"`` or
+    ``"verify"``) on a ``checker`` (``"cal"`` or ``"lin"``) workload.
+
+    Store-backed campaigns hand it their ``checkpoint`` writer and the
+    restored ``completed`` chunks; the runner owns the chunks.  Looked
+    up at call time, so a rebound runner is the one that runs.
+    """
+    if kind == "explore":
+        return explore_parallel
+    family = verify._FAMILIES[checker]
+    if kind == "verify":
+        return partial(_verify_sharded, family)
+    return globals()[f"fuzz_{family}_parallel"]

@@ -766,15 +766,14 @@ def _cmd_explore(args) -> int:
         )
     budget = ExploreBudget(max_runs=args.max_runs) if args.max_runs else None
     return _run_campaign(
-        args,
-        "explore",
-        workload,
+        args, "explore", workload,
         lambda setup, spec, instruments: explore_parallel(
             setup,
             max_steps=args.max_steps or workload.max_steps,
             workers=args.workers or 1,
             budget=budget,
             reduction=args.reduction,
+            progress_every=args.progress or 200,
             **instruments,
         ),
         budget=budget,

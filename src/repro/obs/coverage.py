@@ -25,7 +25,7 @@ union, so the same merge-law discipline as
 across workers merges to exactly the sequential tracker
 (``tests/test_coverage.py::TestParallelCoverageDeterminism``).
 
-The **saturation curve** ("new histories per 1k seeds") comes from the
+The **saturation curve** ("new histories per 1k runs") comes from the
 per-position samples: each observed run records, at its global campaign
 position, the history fingerprint it produced; bucketing first
 occurrences over positions yields the curve, identically for sequential
@@ -40,7 +40,8 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 #: Default number of leading scheduler decisions fingerprinted per run.
 DEFAULT_PREFIX_DEPTH = 8
 
-#: Default saturation-curve bucket width, in campaign positions (seeds).
+#: Default saturation-curve bucket width, in campaign positions (runs:
+#: fuzz seeds or explored schedules).
 DEFAULT_BUCKET = 1000
 
 #: Bound on each per-tracker digest memo (see :class:`CoverageTracker`).
@@ -354,7 +355,7 @@ class CoverageTracker:
         curve = self.saturation(bucket)
         if curve:
             peak = max(new for _, new in curve) or 1
-            lines = [f"\nnew histories per {bucket} seeds:"]
+            lines = [f"\nnew histories per {bucket} runs:"]
             for start, new in curve:
                 bar = "#" * max(1 if new else 0, round(new / peak * width))
                 lines.append(f"  [{start:>8}..) {bar} {new}")

@@ -1,10 +1,11 @@
 """Resume planner: reconstruct the remaining work of a stored campaign.
 
 ``python -m repro resume <campaign-id>`` calls :func:`plan_resume` to
-load what an interrupted campaign already committed — the restored
-partial reports of every ``done`` chunk plus the list of quarantined
-chunks (which a resume retries; only committed successes are skipped) —
-and the original config, from which the CLI rebuilds the workload and
+read what an interrupted campaign already committed — the indices of
+its ``done`` chunks, counted without unpickling them (the campaign
+entry point restores them once), plus the list of quarantined chunks
+(which a resume retries; only committed successes are skipped) — and
+the original config, from which the CLI rebuilds the workload and
 re-enters the same campaign entry point.  Because chunk boundaries are a
 pure function of the stored config (``checkpoint_every`` over the seed
 range, or ``pin_prefix`` arity), the resumed invocation reconstructs the
@@ -17,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List
 
-from repro.store.checkpoint import restore_completed
 from repro.store.schema import (
+    CHUNK_DONE,
     STATUS_COMPLETE,
     CampaignStore,
     StoreError,
@@ -30,8 +31,8 @@ class ResumePlan:
     """Everything a resumed invocation needs from the store."""
 
     campaign: Dict[str, Any]
-    #: Chunk index → restored partial report (skipped by the runner).
-    completed: Dict[int, Any] = field(default_factory=dict)
+    #: Indices of the ``done`` chunks (skipped by the runner).
+    completed: List[int] = field(default_factory=list)
     #: Chunk rows previously quarantined (retried by the resume).
     quarantined: List[Dict[str, Any]] = field(default_factory=list)
 
@@ -72,7 +73,11 @@ def plan_resume(store: CampaignStore, campaign_id: str) -> ResumePlan:
         )
     return ResumePlan(
         campaign=campaign,
-        completed=restore_completed(store, campaign_id),
+        completed=[
+            row["chunk_index"]
+            for row in store.chunk_rows(campaign_id)
+            if row["status"] == CHUNK_DONE and row["payload"] is not None
+        ],
         quarantined=store.quarantined_chunks(campaign_id),
     )
 

@@ -156,7 +156,7 @@ class TestCoverageTracker:
         assert report["saturation"] == [[0, 1]]
         text = tracker.render(bucket=10)
         assert "schedule-space coverage" in text
-        assert "new histories per 10 seeds" in text
+        assert "new histories per 10 runs" in text
 
     def test_repr_is_compact(self):
         assert "0 runs" in repr(CoverageTracker())
