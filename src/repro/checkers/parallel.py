@@ -17,12 +17,14 @@ plans its chunks here and runs them through one runner with one commit,
   seed, so every failure, in seed order, is identical to the sequential
   runner's regardless of worker count.
 
-* **Exhaustive campaigns** (:func:`explore_parallel` and the sharded
-  verify runner behind durable verify) shard the schedule space by the
+* **Exhaustive campaigns** (:func:`explore_parallel` and the verify
+  runner behind every verify campaign) shard the schedule space by the
   first decision point (:func:`~repro.substrate.explore.shard_plan`,
-  called from :func:`_shard_tasks` only); each worker enumerates one
-  ``pin_prefix=[k]`` subtree.  Concatenating shard results in pin order
-  reproduces exactly the sequential enumeration order.
+  called from :func:`_shard_tasks` only) when they run on more than one
+  worker or into a checkpoint, and sweep it unsharded otherwise; each
+  worker enumerates one ``pin_prefix=[k]`` subtree.  Concatenating shard
+  results in pin order reproduces exactly the sequential enumeration
+  order.
 
 The runner commits chunks in the parent in *chunk-index order* — a
 chunk that finishes early waits in memory until the chunks before it
@@ -33,6 +35,8 @@ its progress tallies.  A chunk gets the campaign's trace sink only when
 it runs in the parent; a forked child gets ``None`` (forked writers
 would interleave lines), so its per-run events are not traced, and the
 commit emits one cumulative ``campaign_progress`` event per chunk.
+:func:`campaign_runner` picks a campaign's runner and
+:func:`campaign_kwargs` derives its keywords from the campaign config.
 
 **Budget propagation.**  Campaigns take a ``deadline`` (seconds); the
 parent converts it to an absolute ``time.monotonic()`` instant that is
@@ -333,20 +337,26 @@ class _Rebased(TraceSink):
     """The campaign sink as a chunk run in this process sees it.
 
     The chunk's driver counts from zero; its ``campaign_progress``
-    events get the tallies of the chunks committed before it added, and
-    the campaign's clock and total, so the live line never steps back.
-    Every other event passes through unchanged.
+    events get the tallies of the chunks committed before it added, the
+    campaign's clock and total, and ``distinct_histories`` counted over
+    the committed chunks' histories (``seen``) and the chunk's own
+    tracker (``tracker``, lent by :func:`_chunk_coverage`), so the live
+    line never steps back.  Every other event passes through unchanged.
     """
 
-    def __init__(self, sink, base: Counter, started: float, total) -> None:
+    def __init__(self, sink, base: Counter, seen: set, started: float, total) -> None:
         super().__init__()
-        self.sink, self.base, self.started, self.total = sink, base, started, total
+        self.sink, self.base, self.seen = sink, base, seen
+        self.started, self.total, self.tracker = started, total, None
 
     def _write(self, record: Dict[str, Any]) -> None:
         if record["event"] == "campaign_progress":
             for key in _ADDITIVE:
                 if key in record:
                     record[key] += self.base[key]
+            if self.tracker is not None and "distinct_histories" in record:
+                fresh = self.tracker.histories - self.seen
+                record["distinct_histories"] = len(self.seen) + len(fresh)
             record["elapsed_s"] = time.monotonic() - self.started
             if self.total is not None:
                 record["total"] = self.total
@@ -366,6 +376,15 @@ def _fresh(instrument, **kwargs):
     return type(instrument)(**kwargs)
 
 
+def _chunk_coverage(coverage, sink, offset: int):
+    """A chunk's private coverage tracker (see :func:`_fresh`), lent to
+    the chunk's :class:`_Rebased` sink when it runs in this process."""
+    tracker = _fresh(coverage, offset=offset)
+    if isinstance(sink, _Rebased):
+        sink.tracker = tracker
+    return tracker
+
+
 def _run_chunks(
     tasks: Sequence[Callable[[Any], Any]],
     workers: int,
@@ -380,6 +399,7 @@ def _run_chunks(
     checkpoint=None,
     completed: Optional[Mapping[int, Any]] = None,
     total: Optional[int] = None,
+    coverage=None,
     **supervise: Any,
 ) -> List[Any]:
     """The one chunk runner behind every campaign, and its one commit.
@@ -394,7 +414,9 @@ def _run_chunks(
     ``stored(value)`` under its row (``rows[index]`` = ``(seed_start,
     seed_count)``, by default ``(index, 1)``: one shard), and counted
     into one cumulative ``campaign_progress`` event whose additive
-    fields are the sums of ``tally(index, value)`` over the kept chunks.
+    fields are the sums of ``tally(index, value)`` over the kept chunks;
+    with a ``coverage`` tracker the event also counts the
+    ``distinct_histories`` of the kept chunks' coverage snapshots.
     A :class:`WorkerFailure` is recorded quarantined and becomes
     ``lost(index, failure)``, which may raise to stop the campaign.
 
@@ -403,10 +425,18 @@ def _run_chunks(
     commit when it ran in a forked worker.  A chunk run in this process
     traces into a :class:`_Rebased` view of the sink.
     """
-    kept = dict(completed or {})
+    kept: Dict[int, Any] = {}
     counts: Counter = Counter()
-    for index in sorted(kept):
-        counts.update(tally(index, kept[index]))
+    seen: set = set()  # history fingerprints of the kept chunks
+
+    def keep(index: int, value: Any) -> None:
+        kept[index] = value
+        counts.update(tally(index, value))
+        if coverage is not None:
+            seen.update((value.coverage or {}).get("histories", ()))
+
+    for index in sorted(completed or {}):
+        keep(index, completed[index])
     started = time.monotonic()
     ran_here: set = set()
 
@@ -421,7 +451,7 @@ def _run_chunks(
         if sink is None:
             return tasks[index](None)
         with chunk_span(sink, index):
-            return tasks[index](_Rebased(sink, counts.copy(), started, total))
+            return tasks[index](_Rebased(sink, counts.copy(), seen, started, total))
 
     def commit(index: int, result: Any) -> None:
         start, size = (index, 1) if rows is None else rows[index]
@@ -435,10 +465,11 @@ def _run_chunks(
             if checkpoint is not None:
                 with nullcontext() if index in ran_here else chunk_span(trace, index):
                     checkpoint.chunk_done(index, start, size, stored(result))
-        kept[index] = result
-        counts.update(tally(index, result))
+        keep(index, result)
         if trace is not None:
             fields = dict(counts) if total is None else dict(counts, total=total)
+            if coverage is not None:
+                fields["distinct_histories"] = len(seen)
             trace.emit(
                 "campaign_progress",
                 driver=driver,
@@ -552,7 +583,7 @@ def _fuzz_parallel(
             deadline_at=deadline_at,
             metrics=_fresh(metrics),
             trace=sink,
-            coverage=_fresh(coverage, offset=offset),
+            coverage=_chunk_coverage(coverage, sink, offset),
             progress_every=progress_every,
             dedup=dedup,
             guidance=guidance,
@@ -561,21 +592,14 @@ def _fuzz_parallel(
             **check,
         )
 
-    seen_histories: set = set()
-
     def tally(index: int, report: FuzzReport) -> Dict[str, int]:
-        counts = {
+        return {
             "attempted": len(chunks[index]),
             "runs": report.runs,
             "failures": len(report.failures),
             "unknown": report.unknown,
             "skipped": report.skipped,
         }
-        if coverage is not None:
-            before = len(seen_histories)
-            seen_histories.update((report.coverage or {}).get("histories", ()))
-            counts["distinct_histories"] = len(seen_histories) - before
-        return counts
 
     def lost(index: int, failure: WorkerFailure) -> FuzzReport:
         # The lost chunk's explicit stand-in: every seed skipped.
@@ -601,6 +625,7 @@ def _fuzz_parallel(
         checkpoint=checkpoint,
         completed=completed,
         total=len(seeds),
+        coverage=coverage,
         task_timeout=task_timeout,
         max_retries=max_retries,
         deadline_at=deadline_at,
@@ -690,10 +715,16 @@ def _shard_tasks(
 
 
 def _lost_shard(kind: str, checkpoint, index: int, failure: WorkerFailure):
-    """A durable shard whose workers keep dying stops the campaign,
-    which stays ``interrupted`` for ``resume`` to retry the shard."""
+    """A shard whose workers keep dying stops the campaign: a durable one
+    stays ``interrupted`` for ``resume`` to retry the shard, an inline
+    one has no such channel and fails."""
     from repro.store.schema import StoreError
 
+    if checkpoint is None:
+        raise RuntimeError(
+            f"{kind} shard {index} quarantined after "
+            f"{failure.attempts} attempt(s): {failure.error}"
+        )
     raise StoreError(
         f"{kind} campaign {checkpoint.campaign_id}: shard {index} lost after "
         f"{failure.attempts} attempt(s) ({failure.error}); resume retries it"
@@ -787,17 +818,12 @@ def explore_parallel(
     limits = () if budget is None else (budget.max_runs, budget.step_budget, remaining)
 
     def lost(pin: int, failure: WorkerFailure) -> tuple:
-        if checkpoint is not None:
-            _lost_shard("explore", checkpoint, pin, failure)
         # A lost shard means the sweep is no longer exhaustive.  With a
         # budget, degrade gracefully (tripped → UNKNOWN downstream);
-        # without one the caller has no degradation channel, so the loss
-        # must abort rather than pass silently.
-        if budget is None:
-            raise RuntimeError(
-                f"explore shard {pin} quarantined after "
-                f"{failure.attempts} attempt(s): {failure.error}"
-            )
+        # without one there is no degradation channel, so the loss stops
+        # the campaign rather than pass silently.
+        if checkpoint is not None or budget is None:
+            _lost_shard("explore", checkpoint, pin, failure)
         reason = f"shard {pin} quarantined ({failure.error})"
         return [], ExploreBudget(tripped=True, reason=reason), None
 
@@ -866,7 +892,9 @@ def _verify_sharded(
     progress_every: int = 0, checkpoint=None,
     completed: Optional[Mapping[int, Any]] = None, provenance=None, **check,
 ):
-    """``verify_<family>`` by first-decision shards, one chunk each.
+    """``verify_<family>`` by first-decision shards, one chunk each, or
+    — at one worker without a ``checkpoint`` — as one unsharded sweep,
+    so an inline campaign keeps one decision memo.
 
     Each shard is verified with ``pin_prefix=[k]`` (and, when ``check``
     carries a ``reduction``, the sleep seed of its siblings — see
@@ -883,7 +911,7 @@ def _verify_sharded(
     def run_shard(pin: List[int], sleep_seed, sink):
         return driver(
             setup, spec, max_steps=max_steps, metrics=_fresh(metrics),
-            trace=sink, coverage=_fresh(coverage, offset=0),
+            trace=sink, coverage=_chunk_coverage(coverage, sink, 0),
             progress_every=progress_every, pin_prefix=pin,
             sleep_seed=sleep_seed, provenance=_fresh(provenance), **check,
         )
@@ -903,7 +931,8 @@ def _verify_sharded(
     merged = verify.VerificationReport()
     for report in _run_chunks(
         _shard_tasks(
-            setup, max_steps, check.get("reduction", "none"), True, run_shard
+            setup, max_steps, check.get("reduction", "none"),
+            workers > 1 or checkpoint is not None, run_shard,
         ),
         workers,
         driver=f"verify_{family}",
@@ -916,6 +945,7 @@ def _verify_sharded(
         trace=trace,
         checkpoint=checkpoint,
         completed=completed,
+        coverage=coverage,
     ):
         # Restored shard reports carry their ledger snapshots (they ride
         # inside the pickled report), so resume needs no special casing.
@@ -927,9 +957,11 @@ def campaign_runner(kind: str, checker: str) -> Callable[..., Any]:
     """The runner of a ``kind`` campaign (``"fuzz"``, ``"explore"`` or
     ``"verify"``) on a ``checker`` (``"cal"`` or ``"lin"``) workload.
 
-    Store-backed campaigns hand it their ``checkpoint`` writer and the
-    restored ``completed`` chunks; the runner owns the chunks.  Looked
-    up at call time, so a rebound runner is the one that runs.
+    Inline campaigns call it with :func:`campaign_kwargs`; store-backed
+    ones also hand it their ``checkpoint`` writer, the restored
+    ``completed`` chunks and the store-only ``checkpoint_every``.  The
+    runner owns the chunks.  Looked up at call time, so a rebound runner
+    is the one that runs.
     """
     if kind == "explore":
         return explore_parallel
@@ -937,3 +969,18 @@ def campaign_runner(kind: str, checker: str) -> Callable[..., Any]:
     if kind == "verify":
         return partial(_verify_sharded, family)
     return globals()[f"fuzz_{family}_parallel"]
+
+
+def campaign_kwargs(kind: str, config: Mapping[str, Any]) -> Dict[str, Any]:
+    """The runner keywords a campaign config pins, the same inline and
+    store-backed: ``max_steps``; a fuzz campaign's ``seeds`` (a count in
+    the config) and ``guidance``; an exhaustive one's ``reduction``.
+    The store-only keys (``checkpoint_every``, ``dedup``) are not
+    among them."""
+    kwargs: Dict[str, Any] = {"max_steps": config["max_steps"]}
+    if kind == "fuzz":
+        kwargs["seeds"] = range(config["seeds"])
+        kwargs["guidance"] = config.get("guidance", "uniform")
+    else:
+        kwargs["reduction"] = config.get("reduction", "none")
+    return kwargs

@@ -29,6 +29,15 @@ call, plus its kind's extras:
    failure keeps paying off across invocations (the regression-hunt
    flow ``bench_e21_guided_search`` measures).
 
+The stored ``config`` is the only source of a campaign's shape: its
+:data:`SHAPE_KEYS` (``seeds``, ``checkpoint_every``, ``max_steps``,
+``dedup``, ``guidance``, ``reduction``) are read from it alone, so a
+resume, which re-enters with the stored config, sweeps exactly what the
+first run swept.  ``driver_kwargs`` carries only the checker-family
+extras (``search``, ``check_witness``, ``yield_bias``, …) that the CLI
+re-derives from the workload registry; one naming a shape key is
+refused before the campaign row is created.
+
 Determinism: chunk boundaries are pure functions of the stored config
 (``checkpoint_every`` over the seed range; first-decision arity for
 shards), restored chunk payloads are the exact partial results an
@@ -63,6 +72,12 @@ from repro.substrate.explore import validate_exploration
 
 #: Fingerprint kinds persisted from a completed campaign's coverage.
 COVERAGE_KINDS = ("schedule_prefixes", "histories", "history_shapes")
+
+#: The config keys that shape a durable campaign, read from the stored
+#: config only.
+SHAPE_KEYS = (
+    "seeds", "checkpoint_every", "max_steps", "dedup", "guidance", "reduction",
+)
 
 
 def default_campaign_id(kind: str, workload: str, config: Dict[str, Any]) -> str:
@@ -99,6 +114,17 @@ def _persist_knowledge(
             )
 
 
+def _extras(driver_kwargs: Optional[Dict[str, Any]]) -> Dict[str, Any]:
+    """A copy of ``driver_kwargs``, refused when it names a shape key."""
+    named = sorted(set(driver_kwargs or ()) & set(SHAPE_KEYS))
+    if named:
+        raise ValueError(
+            f"driver_kwargs may not set {', '.join(named)}: a durable "
+            "campaign takes its shape from its config"
+        )
+    return dict(driver_kwargs or {})
+
+
 def _campaign(
     store: CampaignStore,
     campaign_id: str,
@@ -114,18 +140,24 @@ def _campaign(
 ):
     """The lifecycle every durable campaign shares around its runner.
 
-    Creates or re-opens the campaign row (a re-opened one restores its
-    ``done`` chunks and traces ``campaign_resume``), then calls the
-    kind's runner (:func:`~repro.checkers.parallel.campaign_runner`)
-    with ``args`` and ``runner``, the config's ``max_steps``, the
-    workers, the trace, a checkpoint writer and the restored chunks,
-    inside the campaign span ``campaign=<id>`` (see
+    Validates the exploration the config and ``runner`` ask for, creates
+    or re-opens the campaign row (a re-opened one restores its ``done``
+    chunks and traces ``campaign_resume``), then calls the kind's runner
+    (:func:`~repro.checkers.parallel.campaign_runner`) with ``args``,
+    the config's :func:`~repro.checkers.parallel.campaign_kwargs`,
+    ``runner``, the workers, the trace, a checkpoint writer and the
+    restored chunks, inside the campaign span ``campaign=<id>`` (see
     :func:`repro.obs.tracing.span_path`).  A campaign that stops early
     (Ctrl-C, a lost shard, a failing task) is left ``interrupted`` for
     ``resume``; one that returns is marked complete.
     """
-    from repro.checkers.parallel import campaign_runner
+    from repro.checkers.parallel import campaign_kwargs, campaign_runner
 
+    shape = campaign_kwargs(kind, config)
+    if kind != "fuzz":
+        validate_exploration(
+            shape["reduction"], preemption_bound=runner.get("preemption_bound")
+        )
     resumed = store.get_campaign(campaign_id) is not None
     store.create_campaign(campaign_id, kind, workload, checker, config)
     completed = restore_completed(store, campaign_id) if resumed else {}
@@ -149,11 +181,11 @@ def _campaign(
         with span:
             outcome = campaign_runner(kind, checker)(
                 *args,
-                max_steps=config["max_steps"],
                 workers=max(1, workers),
                 trace=trace,
                 checkpoint=writer,
                 completed=completed,
+                **shape,
                 **runner,
             )
     except BaseException:
@@ -177,30 +209,28 @@ def durable_fuzz(
     coverage=None,
     progress_every: int = 0,
     abort_after: int = 0,
-    use_dedup: bool = False,
     driver_kwargs: Optional[Dict[str, Any]] = None,
     provenance=None,
 ):
     """Run (or resume) a checkpointed fuzz campaign.
 
-    ``config`` must pin everything that shapes the chunking and the
-    per-seed work: at least ``seeds``, ``checkpoint_every`` and
-    ``max_steps``.  ``driver_kwargs`` carries checker-family extras
-    (``search``, ``check_witness``, …) that the CLI re-derives from the
-    workload registry on resume.
+    ``config`` pins ``seeds``, ``checkpoint_every`` and ``max_steps``,
+    and optionally ``dedup`` (skip schedules a previous campaign in the
+    store verified) and ``guidance``.  ``driver_kwargs`` carries the
+    checker-family extras (``search``, ``check_witness``, …).
     """
+    extras = _extras(driver_kwargs)
     width = probe_width(setup)
-    dedup = load_dedup(store, workload, checker, width) if use_dedup else None
-    driver_kwargs = dict(driver_kwargs or {})
-    greybox = driver_kwargs.get("guidance") == "greybox"
+    dedup = load_dedup(store, workload, checker, width) if config.get("dedup") else None
+    greybox = config.get("guidance") == "greybox"
     scope = dedup_scope(workload, checker, width)
-    if greybox and driver_kwargs.get("corpus") is None:
+    if greybox and extras.get("corpus") is None:
         # Warm-start from every prior campaign's persisted corpus for
         # this (workload, checker, width) scope.  An empty table yields
         # an empty list, which the engine treats as a cold start.
         stored = store.corpus_entries(scope)
         if stored:
-            driver_kwargs["corpus"] = stored
+            extras["corpus"] = stored
         if trace is not None:
             trace.emit(
                 "corpus_loaded",
@@ -211,14 +241,13 @@ def durable_fuzz(
     report = _campaign(
         store, campaign_id, "fuzz", workload, checker, config, workers,
         trace, abort_after, setup, spec,
-        seeds=range(config["seeds"]),
         checkpoint_every=config["checkpoint_every"],
         metrics=metrics,
         coverage=coverage,
         progress_every=progress_every,
         dedup=dedup,
         provenance=provenance,
-        **driver_kwargs,
+        **extras,
     )
     _persist_knowledge(
         store, workload, checker, width, dedup, report.fresh_schedules, coverage
@@ -248,6 +277,7 @@ def durable_explore(
     metrics=None,
     trace=None,
     coverage=None,
+    progress_every: int = 0,
     abort_after: int = 0,
     provenance=None,
 ):
@@ -256,17 +286,16 @@ def durable_explore(
     :func:`~repro.checkers.parallel.explore_parallel` shards it by the
     first decision point and commits each shard's sanitised results as
     a chunk, in pin order.  Budgets are unsupported here because a cut
-    shard has no stable boundary to resume from.  ``config`` may carry
-    ``reduction`` (``"none"`` | ``"sleep-set"`` | ``"dpor"``).
+    shard has no stable boundary to resume from.  ``config`` pins
+    ``max_steps`` and optionally ``reduction`` (``"none"`` |
+    ``"sleep-set"`` | ``"dpor"``).
     """
-    reduction = config.get("reduction", "none")
-    validate_exploration(reduction)
     results = _campaign(
         store, campaign_id, "explore", workload, checker, config, workers,
         trace, abort_after, setup,
         metrics=metrics,
         coverage=coverage,
-        reduction=reduction,
+        progress_every=progress_every,
         provenance=provenance,
     )
     _persist_knowledge(
@@ -296,14 +325,10 @@ def durable_verify(
 
     One chunk per first-decision shard, verified across ``workers`` and
     committed in pin order; the merged report equals an unsharded
-    sweep's, coverage positions included.  ``driver_kwargs`` may carry
-    a ``reduction``.
+    sweep's, coverage positions included.  ``config`` pins
+    ``max_steps`` and optionally ``reduction``; ``driver_kwargs``
+    carries the checker-family extras (and may bound preemptions).
     """
-    driver_kwargs = driver_kwargs or {}
-    validate_exploration(
-        driver_kwargs.get("reduction", "none"),
-        preemption_bound=driver_kwargs.get("preemption_bound"),
-    )
     report = _campaign(
         store, campaign_id, "verify", workload, checker, config, workers,
         trace, abort_after, setup, spec,
@@ -311,7 +336,7 @@ def durable_verify(
         coverage=coverage,
         progress_every=progress_every,
         provenance=provenance,
-        **driver_kwargs,
+        **_extras(driver_kwargs),
     )
     _persist_knowledge(
         store, workload, checker, probe_width(setup), None, None, coverage

@@ -60,14 +60,22 @@ def _verify(store, trace=None, workers=1, abort_after=0, coverage=None):
 
 class TestCampaignWideProgress:
     def test_durable_verify_progress_never_steps_back(self, tmp_path):
+        """``attempted`` and ``distinct_histories`` count the whole
+        campaign so far, in a chunk run in this process and at every
+        commit."""
         for workers in (1, 2):
-            sink = TraceSink()
+            sink, coverage = TraceSink(), CoverageTracker()
             with CampaignStore(str(tmp_path / f"w{workers}.db")) as store:
-                report = _verify(store, trace=sink, workers=workers)
-            attempted = [e["attempted"] for e in _progress(sink.events)]
-            assert attempted == sorted(attempted), (workers, attempted)
-            assert attempted[-1] == report.runs + report.incomplete
-            assert _progress(sink.events)[-1]["runs"] == report.runs
+                report = _verify(
+                    store, trace=sink, workers=workers, coverage=coverage
+                )
+            progress = _progress(sink.events)
+            for key in ("attempted", "distinct_histories"):
+                counts = [e[key] for e in progress]
+                assert counts == sorted(counts), (workers, key, counts)
+            assert progress[-1]["attempted"] == report.runs + report.incomplete
+            assert progress[-1]["distinct_histories"] == len(coverage.histories)
+            assert progress[-1]["runs"] == report.runs
 
     def test_resumed_progress_counts_the_restored_chunks(self, tmp_path):
         with CampaignStore(str(tmp_path / "s.db")) as store:
@@ -106,7 +114,11 @@ class TestCampaignWideProgress:
         assert chunks == [f"campaign=f/chunk={k}" for k in range(3)]
 
     def test_explore_reports_progress_inline_and_durable(self, tmp_path):
-        for extra in ([], ["--reduction", "dpor", "--store", str(tmp_path / "s.db")]):
+        for extra in (
+            [],
+            ["--reduction", "dpor", "--store", str(tmp_path / "s.db")],
+            ["--reduction", "none", "--store", str(tmp_path / "n.db")],
+        ):
             trace, artifact = tmp_path / "t.jsonl", tmp_path / "a.json"
             code = main([
                 "explore", "--workload", "exchanger2", "--progress", "100",
@@ -122,6 +134,9 @@ class TestCampaignWideProgress:
             final = progress[-1]
             assert final["runs"] == runs
             assert final["chunks_done"] == final["chunks"]
+            if "none" in extra:
+                # --progress reaches the shards: 2,311 runs each.
+                assert len(progress) > final["chunks"]
             stream = StringIO()
             ProgressRenderer(stream=stream).emit(**final)
             assert "[explore]" in stream.getvalue()
@@ -148,6 +163,52 @@ def _interrupted(store, campaign_id, kind, config, chunks):
 
 def _commits(sink):
     return [e["chunk"] for e in sink.events if e["event"] == "checkpoint"]
+
+
+class TestConfigIsTheShape:
+    """A durable campaign's stored config is the only source of its
+    shape, so a resume sweeps exactly what the first run swept."""
+
+    def test_resumed_dpor_verify_equals_uninterrupted(self, tmp_path):
+        path = str(tmp_path / "s.db")
+        config = {"max_steps": X2.max_steps, "reduction": "dpor"}
+
+        def run(store, campaign_id, abort_after=0):
+            return durable_verify(
+                store, campaign_id, "exchanger2", "cal", X2.make_setup(),
+                X2.make_spec(), dict(config), abort_after=abort_after,
+                driver_kwargs=dict(VERIFY_KW),
+            )
+
+        with CampaignStore(path) as store:
+            whole = run(store, "whole")
+            with pytest.raises(KeyboardInterrupt):
+                run(store, "cut", abort_after=1)
+        assert whole.runs == 58
+        artifact = tmp_path / "a.json"
+        argv = ["resume", "cut", "--store", path, "--quiet", "--json", str(artifact)]
+        assert main(argv) == 0
+        tallies = json.loads(artifact.read_text())["tallies"]
+        assert (tallies["runs"], tallies["nodes"]) == (whole.runs, whole.nodes)
+
+    @pytest.mark.parametrize(
+        "key, value", [("reduction", "dpor"), ("guidance", "greybox"), ("dedup", True)]
+    )
+    def test_driver_kwargs_may_not_shape_a_campaign(self, tmp_path, key, value):
+        w = WORKLOADS["figure3"]
+        fuzz_config = {"seeds": 4, "checkpoint_every": 2, "max_steps": 2000}
+        with CampaignStore(str(tmp_path / "s.db")) as store:
+            for durable, config in (
+                (durable_verify, {"max_steps": 2000}),
+                (durable_fuzz, fuzz_config),
+            ):
+                with pytest.raises(ValueError, match=f"may not set {key}") as refused:
+                    durable(
+                        store, "c", "figure3", "cal", w.make_setup(),
+                        w.make_spec(), config, driver_kwargs={key: value},
+                    )
+                assert "\n" not in str(refused.value)
+                assert store.get_campaign("c") is None
 
 
 class TestStoredLayoutsResume:

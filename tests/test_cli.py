@@ -238,6 +238,16 @@ class TestCampaignOptions:
         with pytest.raises(SystemExit, match="--store"):
             _run("fuzz", "--workload", "figure3", "--quiet", *flags)
 
+    def test_max_runs_is_not_split_across_workers(self):
+        """The budget would apply per shard: two workers ran 200 runs
+        for ``--max-runs 100``."""
+        with pytest.raises(SystemExit, match="--workers") as refused:
+            _run(
+                "explore", "--workload", "exchanger2", "--quiet",
+                "--max-runs", "100", "--workers", "2",
+            )
+        assert "\n" not in refused.value.code
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -527,11 +537,10 @@ class TestReportCommand:
 
 
 class TestBadArtifacts:
-    """``report`` and its deprecated ``explain`` alias exit with one line
-    naming the path when the artifact is missing, unreadable or not a
-    JSON object."""
+    """``report`` exits with one line naming the path when the artifact
+    is missing, unreadable or not a JSON object."""
 
-    COMMANDS = pytest.mark.parametrize("command", ["report", "explain"])
+    COMMANDS = pytest.mark.parametrize("command", ["report"])
 
     def _exit_message(self, *argv):
         with pytest.raises(SystemExit) as excinfo:

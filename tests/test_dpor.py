@@ -339,8 +339,8 @@ class TestDurableConformance:
             "cal",
             setup,
             ExchangerSpec("E"),
-            {"max_steps": 200},
-            driver_kwargs={"search": True, "reduction": "dpor"},
+            {"max_steps": 200, "reduction": "dpor"},
+            driver_kwargs={"search": True},
         )
         assert durable.verdict == direct.verdict
         assert durable.runs == direct.runs
@@ -454,8 +454,8 @@ class TestValidation:
                 "cal",
                 exchanger_program([3, 4]),
                 ExchangerSpec("E"),
-                {"max_steps": 200},
-                driver_kwargs={"reduction": "dpor", "preemption_bound": 1},
+                {"max_steps": 200, "reduction": "dpor"},
+                driver_kwargs={"preemption_bound": 1},
             )
         assert store.get_campaign("bad2") is None
 

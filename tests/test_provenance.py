@@ -506,7 +506,7 @@ class TestDurableProvenance:
                 {"seeds": 10, "checkpoint_every": 5, "max_steps": 200,
                  "guidance": "greybox"},
                 trace=trace,
-                driver_kwargs={"search": True, "guidance": "greybox"},
+                driver_kwargs={"search": True},
             )
         trace.close()
         events = read_trace(trace_path)
@@ -701,22 +701,6 @@ class TestExplainCommand:
         ]
         positions = [out.index(mark) for mark in marks]
         assert positions == sorted(positions)
-
-    def test_explain_alias_is_deprecated_but_equivalent(
-        self, tmp_path, capsys
-    ):
-        artifact, _ = self._explore(tmp_path)
-        doctored_path = tmp_path / "doctored.json"
-        doctored = json.loads(artifact.read_text())
-        doctored["provenance"]["counters"]["schedule.executed"] += 1
-        doctored_path.write_text(json.dumps(doctored))
-        capsys.readouterr()
-        for path in (artifact, doctored_path):
-            code = main(["report", "--json", str(path)])
-            assert "deprecated" not in capsys.readouterr().err
-            assert main(["explain", "--json", str(path)]) == code
-            err = capsys.readouterr().err
-            assert "explain is deprecated and will be removed: use report" in err
 
     def test_report_page_carries_the_provenance_section(self, tmp_path):
         artifact, _ = self._explore(tmp_path)

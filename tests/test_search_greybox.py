@@ -279,7 +279,8 @@ class TestDurableCorpus:
         from repro.store.dedup import probe_width
 
         spec = StackSpec("S", initial=(2, 1))
-        config = {"seeds": 40, "max_steps": 400, "checkpoint_every": 40}
+        config = {"seeds": 40, "max_steps": 400, "checkpoint_every": 40,
+                  "guidance": "greybox"}
         with CampaignStore(str(tmp_path / "store.db")) as store:
             durable_fuzz(
                 store,
@@ -290,7 +291,6 @@ class TestDurableCorpus:
                 spec,
                 config,
                 driver_kwargs={
-                    "guidance": "greybox",
                     "yield_bias": 0.85,
                     "check_witness": False,
                 },
@@ -308,9 +308,9 @@ class TestDurableCorpus:
                 "lin",
                 _treiber_setup(),
                 spec,
-                {"seeds": 20, "max_steps": 400, "checkpoint_every": 20},
+                {"seeds": 20, "max_steps": 400, "checkpoint_every": 20,
+                 "guidance": "greybox"},
                 driver_kwargs={
-                    "guidance": "greybox",
                     "yield_bias": 0.85,
                     "check_witness": False,
                 },

@@ -392,7 +392,6 @@ class TestScheduleDedup:
             "dedup": True,
         }
         kw = dict(
-            use_dedup=True,
             driver_kwargs=dict(search=w.search, check_witness=w.check_witness),
         )
         first = durable_fuzz(
@@ -448,10 +447,7 @@ class TestScheduleDedup:
             "max_steps": 1000,
             "dedup": True,
         }
-        kw = dict(
-            use_dedup=True,
-            driver_kwargs=dict(check_witness=w.check_witness),
-        )
+        kw = dict(driver_kwargs=dict(check_witness=w.check_witness))
         first = durable_fuzz(
             store, "f1", "naive-queue", "lin", w.make_setup(), w.make_spec(),
             dict(config), **kw,
