@@ -18,13 +18,13 @@ plans its chunks here and runs them through one runner with one commit,
   runner's regardless of worker count.
 
 * **Exhaustive campaigns** (:func:`explore_parallel` and the verify
-  runner behind every verify campaign) shard the schedule space by the
-  first decision point (:func:`~repro.substrate.explore.shard_plan`,
-  called from :func:`_shard_tasks` only) when they run on more than one
-  worker or into a checkpoint, and sweep it unsharded otherwise; each
-  worker enumerates one ``pin_prefix=[k]`` subtree.  Concatenating shard
-  results in pin order reproduces exactly the sequential enumeration
-  order.
+  runner behind every verify campaign) run through one sweep,
+  :func:`_sweep`.  It shards the schedule space by the first decision
+  point (:func:`~repro.substrate.explore.shard_plan`) when the campaign
+  runs on more than one worker or into a checkpoint, never when it has
+  a budget, and sweeps it unsharded otherwise; each worker enumerates
+  one ``pin_prefix=[k]`` subtree.  Concatenating shard results in pin
+  order reproduces exactly the sequential enumeration order.
 
 The runner commits chunks in the parent in *chunk-index order* — a
 chunk that finishes early waits in memory until the chunks before it
@@ -38,26 +38,27 @@ commit emits one cumulative ``campaign_progress`` event per chunk.
 :func:`campaign_runner` picks a campaign's runner and
 :func:`campaign_kwargs` derives its keywords from the campaign config.
 
-**Budget propagation.**  Campaigns take a ``deadline`` (seconds); the
-parent converts it to an absolute ``time.monotonic()`` instant that is
-valid across ``fork``, and every worker stops starting new work once it
-passes (fuzz seeds not run are counted ``skipped``; explore shards trip
-their :class:`~repro.substrate.explore.ExploreBudget`).  Run/step budgets
-apply per shard — a shared counter would serialize the workers.
+**Budgets.**  Fuzz campaigns take a ``deadline`` (seconds); the parent
+converts it to an absolute ``time.monotonic()`` instant that is valid
+across ``fork``, and every worker stops starting new work once it
+passes (seeds not run are counted ``skipped``).  An exhaustive
+campaign's :class:`~repro.substrate.explore.ExploreBudget` bounds the
+whole sweep: a budgeted sweep runs unsharded, in this process, against
+the caller's own budget.  A budget-cut shard has no stable boundary to
+resume from, so a budget cannot be combined with a checkpoint.
 
 **Fault tolerance.**  :func:`_map_forked` is a supervisor loop, not a
 fire-and-collect pool: a worker that *dies* without delivering a result
 (SIGKILL, OOM, segfault) is retried with exponential backoff up to
 ``max_retries`` times, and a task whose workers keep dying is
 **quarantined** — it yields a :class:`WorkerFailure` sentinel, which the
-commit records and turns into explicit ``skipped`` seeds (fuzz), a
-tripped budget or an error (inline explore) or a
+commit records and turns into explicit ``skipped`` seeds (fuzz), an
+error (inline explore and verify) or a
 :class:`~repro.store.schema.StoreError` (durable explore and verify),
 so the loss is never silent.  A Python exception *inside* a task is
-deterministic, so it aborts with the worker's full traceback.
-``task_timeout`` bounds any single attempt; after the campaign deadline
-(plus a grace period) hung workers are killed and their tasks
-quarantined, salvaging every completed partial.
+deterministic, so it aborts with the worker's full traceback.  After
+the campaign deadline (plus a grace period) hung workers are killed and
+their tasks quarantined, salvaging every completed partial.
 
 **Checkpointing.**  Every runner accepts a ``checkpoint`` writer (see
 :class:`repro.store.checkpoint.CheckpointWriter`), which persists each
@@ -131,8 +132,7 @@ class WorkerFailure:
     Carries enough to report the loss explicitly: the task index, the
     last error (why the worker died or was killed), and how many
     attempts were made.  Fuzz campaigns turn one into ``skipped`` seeds,
-    explore campaigns into a tripped budget, and a durable explore or
-    verify stops on one — never silent loss.
+    and an explore or verify campaign stops on one — never silent loss.
     """
 
     __slots__ = ("index", "error", "attempts")
@@ -156,12 +156,12 @@ DEFAULT_RETRY_BACKOFF = 0.05  # seconds; doubles per attempt
 #: killed and their tasks quarantined (workers normally notice the
 #: deadline themselves and return partial reports well within this).
 DEFAULT_DEADLINE_GRACE = 5.0
-#: Supervisor poll tick: upper bound on reaction latency to timeouts.
+#: Supervisor poll tick: upper bound on reaction latency to the deadline.
 _SUPERVISE_TICK = 0.2
 
 
-def _terminate_all(active: Mapping[Any, Tuple[int, Any, int, float]]) -> None:
-    for conn, (_, process, _, _) in list(active.items()):
+def _terminate_all(active: Mapping[Any, Tuple[int, Any, int]]) -> None:
+    for conn, (_, process, _) in list(active.items()):
         process.terminate()
         process.join()
         conn.close()
@@ -172,11 +172,8 @@ def _map_forked(
     workers: int,
     on_result: Callable[[int, Any], None],
     trace=None,
-    task_timeout: Optional[float] = None,
     max_retries: int = DEFAULT_MAX_RETRIES,
-    retry_backoff: float = DEFAULT_RETRY_BACKOFF,
     deadline_at: Optional[float] = None,
-    deadline_grace: float = DEFAULT_DEADLINE_GRACE,
 ) -> None:
     """Run ``tasks`` across at most ``workers`` forked processes.
 
@@ -190,14 +187,13 @@ def _map_forked(
     This is a *supervisor loop*:
 
     * a worker that dies without a result (SIGKILL, OOM) is retried
-      with exponential backoff (``retry_backoff * 2**attempt``) up to
-      ``max_retries`` times, then the task is quarantined — its result
-      is a :class:`WorkerFailure` instead of aborting the run;
-    * a task exceeding ``task_timeout`` seconds on one attempt has its
-      worker killed and counts as a death (retry, then quarantine);
-    * once ``deadline_at`` (+ ``deadline_grace``) passes, still-running
-      workers are killed and unstarted tasks quarantined, salvaging
-      every already-completed partial;
+      with exponential backoff (:data:`DEFAULT_RETRY_BACKOFF` ``*
+      2**attempt``) up to ``max_retries`` times, then the task is
+      quarantined — its result is a :class:`WorkerFailure` instead of
+      aborting the run;
+    * once ``deadline_at`` (+ :data:`DEFAULT_DEADLINE_GRACE`) passes,
+      still-running workers are killed and unstarted tasks quarantined,
+      salvaging every already-completed partial;
     * a Python exception *inside* a task is deterministic — it aborts
       with the worker's full traceback (no retry).
 
@@ -214,12 +210,14 @@ def _map_forked(
         return
     pending: List[Tuple[int, int]] = [(i, 0) for i in range(len(tasks))]
     not_before: Dict[int, float] = {}  # task index -> earliest retry instant
-    # conn -> (task index, process, attempt, started_at)
-    active: Dict[Any, Tuple[int, Any, int, float]] = {}
+    # conn -> (task index, process, attempt)
+    active: Dict[Any, Tuple[int, Any, int]] = {}
 
     def worker_died(index: int, attempt: int, error: str, retryable: bool) -> None:
         if retryable and attempt < max_retries:
-            not_before[index] = time.monotonic() + retry_backoff * (2 ** attempt)
+            not_before[index] = (
+                time.monotonic() + DEFAULT_RETRY_BACKOFF * (2 ** attempt)
+            )
             pending.append((index, attempt + 1))
             if trace is not None:
                 trace.emit(
@@ -233,7 +231,9 @@ def _map_forked(
         on_result(index, WorkerFailure(index, error, attempt + 1))
 
     # Past this instant, running workers are killed and nothing starts.
-    kill_at = float("inf") if deadline_at is None else deadline_at + deadline_grace
+    kill_at = (
+        float("inf") if deadline_at is None else deadline_at + DEFAULT_DEADLINE_GRACE
+    )
     try:
         while pending or active:
             now = time.monotonic()
@@ -268,7 +268,7 @@ def _map_forked(
                         pid=process.pid,
                         attempt=attempt,
                     )
-                active[parent_conn] = (index, process, attempt, time.monotonic())
+                active[parent_conn] = (index, process, attempt)
             if not active:
                 if pending:  # every runnable task is backing off
                     soonest = min(
@@ -280,7 +280,7 @@ def _map_forked(
                     )
                 continue
             for conn in _wait_ready(list(active), timeout=_SUPERVISE_TICK):
-                index, process, attempt, _ = active.pop(conn)
+                index, process, attempt = active.pop(conn)
                 try:
                     status, payload = conn.recv()
                 except (EOFError, OSError):
@@ -303,26 +303,17 @@ def _map_forked(
                     raise RuntimeError(f"parallel worker failed:\n{payload}")
                 else:
                     worker_died(index, attempt, payload, retryable=True)
-            now = time.monotonic()
-            expired = now >= kill_at
-            for conn, (index, process, attempt, started) in list(active.items()):
-                timed_out = (
-                    task_timeout is not None and now - started >= task_timeout
-                )
-                if not timed_out and not expired:
-                    continue
+            if time.monotonic() < kill_at:
+                continue
+            for conn, (index, process, attempt) in list(active.items()):
                 del active[conn]
                 process.terminate()
                 process.join()
                 conn.close()
-                reason = (
-                    f"task timeout ({task_timeout}s) exceeded"
-                    if timed_out
-                    else "killed at campaign deadline (grace expired)"
-                )
                 if trace is not None:
                     trace.emit("worker_done", task=index, status="killed")
-                worker_died(index, attempt, reason, retryable=not expired)
+                reason = "killed at campaign deadline (grace expired)"
+                worker_died(index, attempt, reason, retryable=False)
     except BaseException:
         # SIGINT (or any other escape) must not leak forked children.
         _terminate_all(active)
@@ -544,7 +535,6 @@ def _fuzz_parallel(
     checkpoint_every: int = 0,
     completed: Optional[Mapping[int, FuzzReport]] = None,
     dedup=None,
-    task_timeout: Optional[float] = None,
     max_retries: int = DEFAULT_MAX_RETRIES,
     guidance: str = "uniform",
     corpus=None,
@@ -626,7 +616,6 @@ def _fuzz_parallel(
         completed=completed,
         total=len(seeds),
         coverage=coverage,
-        task_timeout=task_timeout,
         max_retries=max_retries,
         deadline_at=deadline_at,
     ):
@@ -664,9 +653,9 @@ def fuzz_cal_parallel(setup: SetupFn, spec: CASpec, **kwargs) -> FuzzReport:
     already checkpointed — the merged result equals an uninterrupted
     campaign's.  ``dedup`` (:class:`~repro.store.dedup.ScheduleDedup`)
     skips re-checking schedules a prior campaign already verified.
-    ``task_timeout``/``max_retries`` tune the worker supervisor; a chunk
-    whose workers keep dying is quarantined into explicit ``skipped``
-    seeds plus a ``report.quarantined`` entry instead of aborting.
+    ``max_retries`` tunes the worker supervisor; a chunk whose workers
+    keep dying is quarantined into explicit ``skipped`` seeds plus a
+    ``report.quarantined`` entry instead of aborting.
 
     ``guidance="greybox"`` gives every chunk its own engine warm-started
     from the shared ``corpus`` snapshot; evolved chunk corpora merge
@@ -731,6 +720,35 @@ def _lost_shard(kind: str, checkpoint, index: int, failure: WorkerFailure):
     )
 
 
+def _sweep(
+    kind: str, setup: SetupFn, run_shard: Callable[..., Any], *,
+    max_steps: Optional[int], reduction: str, workers: int,
+    budget: Optional[ExploreBudget], checkpoint, **commit: Any,
+) -> List[Any]:
+    """The one exhaustive sweep behind explore and verify campaigns.
+
+    Plans the shards (:func:`_shard_tasks`), names a lost one
+    (:func:`_lost_shard`) and runs them through :func:`_run_chunks` with
+    the kind's ``commit`` policies; returns each shard's value in pin
+    order.  The sweep shards by the first decision when it runs on more
+    than one worker or into a ``checkpoint``, and never when it has a
+    ``budget``: a budgeted sweep is one chunk, run in this process
+    against the caller's own budget, so the budget bounds the whole
+    sweep.  A budget together with a checkpoint is refused, because a
+    budget-cut shard has no stable boundary to resume from.
+    """
+    if budget is not None and checkpoint is not None:
+        raise ValueError("a budget-cut shard has no stable boundary to resume from")
+    sharded = budget is None and (workers > 1 or checkpoint is not None)
+    return _run_chunks(
+        _shard_tasks(setup, max_steps, reduction, sharded, run_shard),
+        workers,
+        lost=partial(_lost_shard, kind, checkpoint),
+        checkpoint=checkpoint,
+        **commit,
+    )
+
+
 def explore_parallel(
     setup: SetupFn,
     max_steps: Optional[int] = None,
@@ -752,13 +770,10 @@ def explore_parallel(
     Returns the same results in the same order as
     ``list(explore_all(setup, ...))`` — each worker owns the subtrees of
     some first-decision alternatives (``pin_prefix=[k]``), and shard
-    results are concatenated in ``k`` order.
-
-    ``budget`` semantics under sharding: the deadline is shared (every
-    worker gets the remaining wall-clock at campaign entry); ``max_runs``
-    and ``step_budget`` apply *per shard*.  Worker tallies are summed
-    back into the caller's budget, and a trip in any shard marks it
-    tripped — so a cut campaign still reports ``UNKNOWN`` downstream.
+    results are concatenated in ``k`` order.  A ``budget`` bounds the
+    whole sweep, which then runs unsharded in this process whatever the
+    ``workers`` (see :func:`_sweep`); a cut campaign reports ``UNKNOWN``
+    downstream.
 
     ``metrics`` counts ``explore.runs``/``explore.steps`` over the merged
     results and ``explore.budget_trips`` when the campaign was cut.
@@ -780,24 +795,23 @@ def explore_parallel(
     writer the sweep is always sharded, each shard is committed as a
     chunk (its result list, or ``{"results", "provenance"}`` with a
     ledger) and ``completed`` (shard index → restored chunk) skips the
-    shards a prior run committed; a lost shard then stops the campaign
-    with a :class:`~repro.store.schema.StoreError`.  A ``budget`` cannot
-    be combined with a ``checkpoint``.
+    shards a prior run committed.  A lost shard stops the campaign: with
+    a :class:`~repro.store.schema.StoreError` when checkpointed, a
+    ``RuntimeError`` otherwise.  A ``budget`` cannot be combined with a
+    ``checkpoint``.
     """
     validate_exploration(reduction, preemption_bound=preemption_bound)
-    if budget is not None and checkpoint is not None:
-        raise ValueError("a budget-cut shard has no stable boundary to resume from")
     workers = default_workers() if workers is None else workers
-    if budget is not None:
-        budget.start()
 
     def run_shard(pin: List[int], sleep_seed, sink) -> tuple:
-        # A shard budget always counts the runs and steps it visits.
-        shard_budget = ExploreBudget(*limits)
+        # A shard counts the runs and steps it visits, into the caller's
+        # budget when the sweep has one.
+        visited = ExploreBudget() if budget is None else budget
+        before = visited.runs, visited.steps
         ledger = _fresh(provenance)
         results = list(
             explore_all(
-                setup, max_steps=max_steps, budget=shard_budget,
+                setup, max_steps=max_steps, budget=visited,
                 include_incomplete=include_incomplete,
                 preemption_bound=preemption_bound, pin_prefix=pin,
                 trace=sink, progress_every=progress_every,
@@ -808,24 +822,8 @@ def explore_parallel(
         for result in results:
             result.world = None  # unpicklable; results cross pipes and stores
         snapshot = None if ledger is None else ledger.snapshot()
-        return results, shard_budget, snapshot
-
-    tasks = _shard_tasks(
-        setup, max_steps, reduction, workers > 1 or checkpoint is not None,
-        run_shard,
-    )
-    remaining = budget.remaining_deadline() if budget is not None else None
-    limits = () if budget is None else (budget.max_runs, budget.step_budget, remaining)
-
-    def lost(pin: int, failure: WorkerFailure) -> tuple:
-        # A lost shard means the sweep is no longer exhaustive.  With a
-        # budget, degrade gracefully (tripped → UNKNOWN downstream);
-        # without one there is no degradation channel, so the loss stops
-        # the campaign rather than pass silently.
-        if checkpoint is not None or budget is None:
-            _lost_shard("explore", checkpoint, pin, failure)
-        reason = f"shard {pin} quarantined ({failure.error})"
-        return [], ExploreBudget(tripped=True, reason=reason), None
+        counts = visited.runs - before[0], visited.steps - before[1]
+        return results, counts, snapshot
 
     def restored(payload) -> tuple:
         # Ledger-off (and pre-provenance) chunks are bare result lists.
@@ -833,38 +831,26 @@ def explore_parallel(
         if isinstance(payload, dict):
             results, ledger = payload["results"], payload.get("provenance")
         steps = sum(result.steps for result in results)
-        return results, ExploreBudget(runs=len(results), steps=steps), ledger
+        return results, (len(results), steps), ledger
 
     def stored(shard: tuple):
         results, _, ledger = shard
         return results if ledger is None else {"results": results, "provenance": ledger}
 
     def tally(_, shard: tuple) -> Dict[str, int]:
-        results, visited, _ = shard
-        return {"attempted": visited.runs, "runs": len(results), "steps": visited.steps}
+        results, (attempted, steps), _ = shard
+        return {"attempted": attempted, "runs": len(results), "steps": steps}
 
     merged: List[RunResult] = []
-    for results, shard_budget, shard_ledger in _run_chunks(
-        tasks,
-        workers,
-        driver="explore",
-        lost=lost,
-        tally=tally,
-        stored=stored,
-        trace=trace,
-        checkpoint=checkpoint,
+    for results, _, shard_ledger in _sweep(
+        "explore", setup, run_shard, max_steps=max_steps, reduction=reduction,
+        workers=workers, budget=budget, checkpoint=checkpoint,
+        driver="explore", tally=tally, stored=stored, trace=trace,
         completed={k: restored(v) for k, v in (completed or {}).items()},
-        deadline_at=None if remaining is None else time.monotonic() + remaining,
     ):
         merged.extend(results)
         if provenance is not None and shard_ledger is not None:
             provenance.merge(ExplorationLedger.from_snapshot(shard_ledger))
-        if budget is not None:
-            budget.runs += shard_budget.runs
-            budget.steps += shard_budget.steps
-            if shard_budget.tripped and not budget.tripped:
-                budget.tripped = True
-                budget.reason = shard_budget.reason
     # Counts come from the merged results, in enumeration order, so
     # sharded and sequential campaigns record identical totals and
     # coverage snapshots.
@@ -892,9 +878,11 @@ def _verify_sharded(
     progress_every: int = 0, checkpoint=None,
     completed: Optional[Mapping[int, Any]] = None, provenance=None, **check,
 ):
-    """``verify_<family>`` by first-decision shards, one chunk each, or
-    — at one worker without a ``checkpoint`` — as one unsharded sweep,
-    so an inline campaign keeps one decision memo.
+    """``verify_<family>`` through :func:`_sweep`: by first-decision
+    shards, one chunk each, or as one unsharded sweep — at one worker
+    without a ``checkpoint``, so an inline campaign keeps one decision
+    memo, or under a ``budget``, which then bounds the whole sweep and
+    rides on the merged report.
 
     Each shard is verified with ``pin_prefix=[k]`` (and, when ``check``
     carries a ``reduction``, the sleep seed of its siblings — see
@@ -928,24 +916,17 @@ def _verify_sharded(
             )
         return report
 
-    merged = verify.VerificationReport()
-    for report in _run_chunks(
-        _shard_tasks(
-            setup, max_steps, check.get("reduction", "none"),
-            workers > 1 or checkpoint is not None, run_shard,
-        ),
-        workers,
-        driver=f"verify_{family}",
-        lost=lambda index, failure: _lost_shard("verify", checkpoint, index, failure),
+    budget = check.get("budget")
+    merged = verify.VerificationReport(budget=budget)
+    for report in _sweep(
+        "verify", setup, run_shard, max_steps=max_steps,
+        reduction=check.get("reduction", "none"), workers=workers,
+        budget=budget, checkpoint=checkpoint, driver=f"verify_{family}",
         tally=lambda _, report: {
             "attempted": report.runs + report.incomplete, "runs": report.runs,
             "failures": len(report.failures), "unknown": report.unknown,
         },
-        rebase=rebase,
-        trace=trace,
-        checkpoint=checkpoint,
-        completed=completed,
-        coverage=coverage,
+        rebase=rebase, trace=trace, completed=completed, coverage=coverage,
     ):
         # Restored shard reports carry their ledger snapshots (they ride
         # inside the pickled report), so resume needs no special casing.

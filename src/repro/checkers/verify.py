@@ -160,8 +160,9 @@ class VerificationReport:
         associative and order-restoring: a verification campaign sharded
         by ``pin_prefix`` (the durable-campaign checkpoint unit) merges,
         shard by shard in pin order, to exactly the report a single
-        unsharded sweep produces.  ``budget`` objects are not merged —
-        sharded durable campaigns run each shard to completion instead.
+        unsharded sweep produces.  ``budget`` objects are not merged: a
+        budgeted sweep is never sharded, so the campaign runner's merged
+        report takes the caller's budget.
         """
         self.runs += other.runs
         self.incomplete += other.incomplete

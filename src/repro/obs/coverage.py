@@ -44,10 +44,15 @@ DEFAULT_PREFIX_DEPTH = 8
 #: fuzz seeds or explored schedules).
 DEFAULT_BUCKET = 1000
 
-#: Bound on each per-tracker digest memo (see :class:`CoverageTracker`).
-#: Cleared wholesale when full; a miss recomputes the same digests, so
+#: Bound on the shared history-digest memo (:func:`history_digests`) and
+#: on each tracker's walked-witness memo, read at call time.  A memo is
+#: cleared wholesale when full; a miss recomputes the same digests, so
 #: eviction is invisible.
 _DIGEST_MEMO_CAP = 4096
+
+#: History content key -> (history digest, shape digest), shared by every
+#: tracker and the greybox engine in this process.
+_DIGESTS: Dict[Any, Tuple[str, Optional[str]]] = {}
 
 
 def _digest(text: str) -> str:
@@ -82,9 +87,22 @@ def _element_signature(element: Any) -> str:
     return "{" + ",".join(ops) + "}"
 
 
-def _history_digests(history: Any) -> Tuple[str, Optional[str]]:
+def history_digests(history: Any) -> Tuple[str, Optional[str]]:
     """(action-sequence digest, structural-shape digest or None when the
-    history is ill-formed) — the two history facets of a run."""
+    history is ill-formed) — the two history facets of a run.
+
+    Memoized on the history's
+    :meth:`~repro.core.history.History.content_key` in one memo for the
+    whole process; digests are pure functions of that content, so the
+    memo changes no fingerprint.
+    """
+    try:
+        key = history.content_key()
+        digests = _DIGESTS.get(key)
+    except TypeError:  # an unhashable argument or result
+        key = digests = None
+    if digests is not None:
+        return digests
     # Lazy import: repro.checkers.__init__ pulls in the drivers, which
     # import repro.obs — resolve the cycle at call time.
     from repro.checkers._search import structural_key
@@ -93,6 +111,11 @@ def _history_digests(history: Any) -> Tuple[str, Optional[str]]:
     shape = None
     if history.is_well_formed():
         shape = _digest(canonical_repr(structural_key(history.spans())))
+    if key is not None:
+        if len(_DIGESTS) >= _DIGEST_MEMO_CAP:
+            _DIGESTS.clear()
+        if len(_DIGESTS) < _DIGEST_MEMO_CAP:
+            _DIGESTS[key] = fingerprint, shape
     return fingerprint, shape
 
 
@@ -105,12 +128,11 @@ class CoverageTracker:
     tracker would have put them.  Like :class:`~repro.obs.metrics.Metrics`,
     nothing locks: one tracker per worker, merged on join.
 
-    Fingerprinting is memoized per tracker: a history's
-    :meth:`~repro.core.history.History.content_key` maps to its (history,
-    shape) digests, and a witness already walked through the same spec is
-    not walked again.  Digests are pure functions of that content, so the
-    memos change no fingerprint; they stay out of :meth:`snapshot` and
-    :meth:`merge`.
+    History digests come from the shared memo of
+    :func:`history_digests`, and a witness this tracker already walked
+    through the same spec is not walked again.  Digests are pure
+    functions of content, so the memos change no fingerprint; they stay
+    out of :meth:`snapshot` and :meth:`merge`.
     """
 
     __slots__ = (
@@ -122,7 +144,6 @@ class CoverageTracker:
         "spec_transitions",
         "samples",
         "observed",
-        "_digests",
         "_walked",
     )
 
@@ -137,7 +158,6 @@ class CoverageTracker:
         self.spec_transitions: set = set()  # digest of (state, elem, succ)
         self.samples: Dict[int, str] = {}  # global position -> history digest
         self.observed = 0
-        self._digests: Dict[Any, Tuple[str, Optional[str]]] = {}
         self._walked: set = set()  # (spec, witness content key) pairs
 
     # -- observing -----------------------------------------------------
@@ -162,19 +182,7 @@ class CoverageTracker:
             prefix = ",".join(decisions[:depth])
             self.schedule_prefixes.add(f"{depth}:{prefix}")
         target = history.project_object(oid) if oid is not None else history
-        try:
-            key = target.content_key()
-            digests = self._digests.get(key)
-        except TypeError:  # an unhashable argument or result
-            key = digests = None
-        if digests is None:
-            digests = _history_digests(target)
-            if key is not None:
-                if len(self._digests) >= _DIGEST_MEMO_CAP:
-                    self._digests.clear()
-                if len(self._digests) < _DIGEST_MEMO_CAP:
-                    self._digests[key] = digests
-        fingerprint, shape = digests
+        fingerprint, shape = history_digests(target)
         new = fingerprint not in self.histories
         self.histories.add(fingerprint)
         if shape is not None:

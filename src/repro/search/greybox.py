@@ -14,11 +14,12 @@ The engine implements the AFL loop at scheduler-decision granularity:
    :class:`repro.substrate.schedulers.PrefixRandomScheduler` — logging
    the *full* decision list, so recorded failures replay and shrink
    exactly like uniform ones.
-3. :meth:`GreyboxEngine.observe` — after the run, the engine consults
-   its own private :class:`~repro.obs.coverage.CoverageTracker`; runs
-   that minted a new *semantic* fingerprint (history digest or history
-   shape) donate their leading decisions to the corpus and credit the
-   parent entry's ``hits``.  Schedule-prefix fingerprints are
+3. :meth:`GreyboxEngine.observe` — after the run, the engine looks up
+   the run's history and shape digests in the shared memo of
+   :func:`~repro.obs.coverage.history_digests` and keeps the sets it
+   has seen; runs that minted a new *semantic* fingerprint (history
+   digest or history shape) donate their leading decisions to the
+   corpus and credit the parent entry's ``hits``.  Schedule-prefix fingerprints are
    deliberately excluded from the novelty signal: under biased random
    sampling nearly every run mints a fresh prefix digest, which would
    flood the corpus with undistinguished entries and flatten the energy
@@ -44,7 +45,7 @@ from __future__ import annotations
 import random
 from typing import Any, List, Optional, Sequence, Tuple
 
-from repro.obs.coverage import CoverageTracker
+from repro.obs.coverage import history_digests
 from repro.search.corpus import CorpusEntry, ScheduleCorpus
 from repro.search.rng import named_stream
 
@@ -126,7 +127,8 @@ class GreyboxEngine:
         "explore_ratio",
         "max_value",
         "ledger",
-        "_novelty",
+        "_histories",
+        "_shapes",
         "_parent",
         "_pending_op",
         "proposed",
@@ -146,7 +148,8 @@ class GreyboxEngine:
         self.explore_ratio = explore_ratio
         self.max_value = max_value
         self.ledger = ledger  # optional ExplorationLedger (provenance)
-        self._novelty = CoverageTracker()
+        self._histories: set = set()  # history digests seen
+        self._shapes: set = set()  # history shape digests seen
         self._parent: Optional[CorpusEntry] = None
         self._pending_op: Optional[str] = None
         self.proposed = 0  # seeds that got a mutated prefix
@@ -180,28 +183,24 @@ class GreyboxEngine:
         """Feed one finished run back; returns True when it minted coverage.
 
         ``run`` is a :class:`~repro.substrate.runtime.RunResult` whose
-        ``schedule`` the driver filled in.  Minting a new semantic
-        fingerprint (history digest or shape) in the engine's private
-        tracker adds the run's leading decisions to the corpus and
-        credits the proposing entry.
+        ``schedule`` the driver filled in; with ``oid`` its history is
+        projected to that object first.  Minting a new semantic
+        fingerprint (history digest or shape, from
+        :func:`~repro.obs.coverage.history_digests`) adds the run's
+        leading decisions to the corpus and credits the proposing entry.
         """
-        tracker = self._novelty
-        histories_before = len(tracker.histories)
-        shapes_before = len(tracker.history_shapes)
-        tracker.observe_run(position, run.schedule, run.history, oid=oid)
-        minted = (
-            len(tracker.histories) > histories_before
-            or len(tracker.history_shapes) > shapes_before
-        )
+        history = run.history.project_object(oid) if oid is not None else run.history
+        fingerprint, shape = history_digests(history)
+        new_history = fingerprint not in self._histories
+        minted = new_history or (shape is not None and shape not in self._shapes)
+        self._histories.add(fingerprint)
+        if shape is not None:
+            self._shapes.add(shape)
         if self.ledger is not None:
             if self._pending_op is not None:
                 self.ledger.record_mutation(self._pending_op, minted)
             if minted:
-                self.ledger.record_admission(
-                    "history"
-                    if len(tracker.histories) > histories_before
-                    else "shape"
-                )
+                self.ledger.record_admission("history" if new_history else "shape")
             else:
                 self.ledger.record_rejection("duplicate")
         if minted:
@@ -234,7 +233,7 @@ class GreyboxEngine:
         return {
             "corpus_size": len(self.corpus),
             "proposed": self.proposed,
-            "novel": len(self._novelty.histories),
+            "novel": len(self._histories),
         }
 
 

@@ -327,8 +327,15 @@ def durable_verify(
     committed in pin order; the merged report equals an unsharded
     sweep's, coverage positions included.  ``config`` pins
     ``max_steps`` and optionally ``reduction``; ``driver_kwargs``
-    carries the checker-family extras (and may bound preemptions).
+    carries the checker-family extras (and may bound preemptions).  A
+    ``budget`` there is refused before the campaign row is created: a
+    budget-cut shard has no stable boundary to resume from.
     """
+    if (driver_kwargs or {}).get("budget") is not None:
+        raise ValueError(
+            "driver_kwargs may not set budget: a durable campaign runs "
+            "every shard to completion"
+        )
     report = _campaign(
         store, campaign_id, "verify", workload, checker, config, workers,
         trace, abort_after, setup, spec,

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import (
     Any,
     Callable,
@@ -101,21 +102,13 @@ class ExploreBudget:
     def start(self) -> None:
         """Start the deadline clock (idempotent).
 
-        Called by :func:`explore_all` and the campaign runners at entry,
+        Called by :func:`explore_all` and the verify drivers at entry,
         *before* any per-run setup, so setup time counts against the
         deadline; a budget handed to several sweeps keeps its original
         clock.
         """
         if self._started_at is None:
             self._started_at = time.monotonic()
-
-    def remaining_deadline(self) -> Optional[float]:
-        """Seconds left on the deadline clock (``None`` when unbounded)."""
-        if self.deadline is None:
-            return None
-        self.start()
-        assert self._started_at is not None
-        return max(0.0, self.deadline - (time.monotonic() - self._started_at))
 
     def exhausted(self) -> bool:
         """Check (and latch) whether the budget has tripped."""
@@ -142,10 +135,7 @@ class ExploreBudget:
         """Plain-dict snapshot of the budget's tallies.
 
         The campaign runners surface this next to a
-        :meth:`~repro.obs.metrics.Metrics.snapshot`, and the parallel
-        runner's merged shard budgets sum to the same totals as a
-        sequential sweep (runs and steps are per-run facts, not
-        wall-clock artifacts).
+        :meth:`~repro.obs.metrics.Metrics.snapshot`.
         """
         return {
             "runs": self.runs,
@@ -236,8 +226,51 @@ class _ReducedScheduler(Scheduler):
         return [chosen for _, chosen in self.log]
 
 
-def _explore_reduced(
-    explorer: DporExplorer,
+class _UnreducedExplorer:
+    """The unreduced DFS (``reduction="none"``) as an explorer of the
+    replay loop: each run replays ``prefix`` under a fresh
+    :class:`ReplayScheduler`, nothing is pruned or audited, and
+    :meth:`backtrack` flips the deepest decision with an untried
+    alternative (never a pinned one)."""
+
+    ledger = None
+    staged_advance = None
+    pruned = None  # its progress events carry no ``pruned`` field
+    scheduler: ReplayScheduler  # the last run's, set by new_scheduler
+
+    def __init__(
+        self, pin_prefix: Sequence[int], preemption_bound: Optional[int]
+    ) -> None:
+        self.pinned = len(pin_prefix)
+        self.prefix = list(pin_prefix)
+        self.preemption_bound = preemption_bound
+
+    def new_scheduler(self) -> ReplayScheduler:
+        self.scheduler = ReplayScheduler(
+            self.prefix, preemption_bound=self.preemption_bound
+        )
+        return self.scheduler
+
+    def begin_run(self, runtime: Runtime) -> None:
+        pass
+
+    def end_run(self) -> None:
+        pass
+
+    def backtrack(self) -> bool:
+        log = self.scheduler.log
+        depth = len(log) - 1
+        while depth >= self.pinned and log[depth][1] + 1 >= log[depth][0]:
+            depth -= 1
+        if depth < self.pinned:
+            return False
+        self.prefix = [chosen for _, chosen in log[:depth]] + [log[depth][1] + 1]
+        return True
+
+
+def _explore(
+    explorer: Any,
+    new_scheduler: Callable[[], Scheduler],
     setup: SetupFn,
     max_steps: Optional[int],
     include_incomplete: bool,
@@ -246,18 +279,18 @@ def _explore_reduced(
     trace,
     progress_every: int,
 ) -> Iterator[RunResult]:
-    """The shared replay loop behind every reduced exploration mode.
+    """The one replay loop behind every exploration mode.
 
-    ``explorer`` (a :class:`~repro.substrate.dpor.DporExplorer`, or its
-    race-free :class:`~repro.substrate.dpor.SleepSetExplorer`) supplies
-    the strategy: ``begin_run`` arms it over a fresh runtime,
-    ``end_run`` runs any per-run analysis (the DPOR race detection; a
-    no-op for sleep sets), and ``backtrack`` advances the persistent
-    decision stack to the next unexplored leaf.  The
-    explorer's optional ``ledger`` receives each attempt's disposition
-    — every attempted schedule is recorded exactly once as executed or
-    pruned, which is the reconciliation invariant ``repro report``
-    audits.
+    ``explorer`` (an :class:`_UnreducedExplorer`, a
+    :class:`~repro.substrate.dpor.DporExplorer`, or its race-free
+    :class:`~repro.substrate.dpor.SleepSetExplorer`) supplies the
+    strategy, and ``new_scheduler`` each run's scheduler: ``begin_run``
+    arms the explorer over a fresh runtime, ``end_run`` runs any per-run
+    analysis (the DPOR race detection; a no-op otherwise), and
+    ``backtrack`` advances to the next unexplored leaf.  The explorer's
+    optional ``ledger`` receives each attempt's disposition — every
+    attempted schedule is recorded exactly once as executed or pruned,
+    which is the reconciliation invariant ``repro report`` audits.
     """
     ledger = explorer.ledger
     root_counted = False
@@ -286,7 +319,7 @@ def _explore_reduced(
                 # cut between the two leaves the books balanced.
                 ledger.record_advance(explorer.staged_advance)
                 explorer.staged_advance = None
-        scheduler = _ReducedScheduler(explorer)
+        scheduler = new_scheduler()
         runtime = setup(scheduler)
         explorer.begin_run(runtime)
         try:
@@ -311,13 +344,13 @@ def _explore_reduced(
             if budget is not None:
                 budget.charge(result)
         if trace is not None and progress_every and attempted % progress_every == 0:
+            tallies = {"attempted": attempted, "runs": produced, "steps": steps}
+            if explorer.pruned is not None:
+                tallies["pruned"] = explorer.pruned
             trace.emit(
                 "campaign_progress",
                 driver="explore",
-                attempted=attempted,
-                runs=produced,
-                steps=steps,
-                pruned=explorer.pruned,
+                **tallies,
                 elapsed_s=time.monotonic() - started,
             )
         if result is not None and (result.completed or include_incomplete):
@@ -371,9 +404,11 @@ def explore_all(
     — the live-progress hook for open-ended enumerations, usable
     standalone (without any checker driver on top).
 
-    ``reduction`` selects the partial-order-reduction mode.  ``"none"``
-    (the default) is the historical exhaustive enumeration, decision
-    sequence for decision sequence.  ``"sleep-set"`` prunes branches
+    ``reduction`` selects the partial-order-reduction mode; every mode
+    runs through one replay loop and differs only in the explorer that
+    picks each run's decisions and backtracks.  ``"none"`` (the default)
+    is the historical exhaustive enumeration, decision sequence for
+    decision sequence.  ``"sleep-set"`` prunes branches
     that only commute independent steps of branches already explored
     (see :mod:`repro.substrate.independence` and ``docs/search.md``):
     the set of complete-run histories — hence verdicts and
@@ -405,85 +440,24 @@ def explore_all(
     (unreduced enumeration has no dispositions to audit).
     """
     validate_exploration(reduction, preemption_bound=preemption_bound)
-    if reduction != "none":
+    if reduction == "none":
+        explorer: Any = _UnreducedExplorer(pin_prefix, preemption_bound)
+        new_scheduler = explorer.new_scheduler
+    else:
         engine = DporExplorer if reduction == "dpor" else SleepSetExplorer
-        return _explore_reduced(
-            engine(pin_prefix, sleep_seed=sleep_seed, ledger=provenance),
-            setup,
-            max_steps,
-            include_incomplete,
-            limit,
-            budget,
-            trace,
-            progress_every,
-        )
-    return _explore_unreduced(
+        explorer = engine(pin_prefix, sleep_seed=sleep_seed, ledger=provenance)
+        new_scheduler = partial(_ReducedScheduler, explorer)
+    return _explore(
+        explorer,
+        new_scheduler,
         setup,
         max_steps,
         include_incomplete,
         limit,
-        preemption_bound,
         budget,
-        pin_prefix,
         trace,
         progress_every,
     )
-
-
-def _explore_unreduced(
-    setup: SetupFn,
-    max_steps: Optional[int],
-    include_incomplete: bool,
-    limit: Optional[int],
-    preemption_bound: Optional[int],
-    budget: Optional[ExploreBudget],
-    pin_prefix: Sequence[int],
-    trace,
-    progress_every: int,
-) -> Iterator[RunResult]:
-    """The historical exhaustive enumeration (``reduction="none"``)."""
-    pinned = len(pin_prefix)
-    prefix: list[int] = list(pin_prefix)
-    produced = 0
-    attempted = 0
-    steps = 0
-    started = time.monotonic()
-    if budget is not None:
-        budget.start()
-    while True:
-        if budget is not None and budget.exhausted():
-            return
-        scheduler = ReplayScheduler(prefix, preemption_bound=preemption_bound)
-        runtime = setup(scheduler)
-        result = runtime.run(max_steps=max_steps)
-        result.schedule = scheduler.choices()
-        if budget is not None:
-            budget.charge(result)
-        attempted += 1
-        steps += result.steps
-        if trace is not None and progress_every and attempted % progress_every == 0:
-            trace.emit(
-                "campaign_progress",
-                driver="explore",
-                attempted=attempted,
-                runs=produced,
-                steps=steps,
-                elapsed_s=time.monotonic() - started,
-            )
-        if result.completed or include_incomplete:
-            yield result
-            produced += 1
-            if limit is not None and produced >= limit:
-                return
-        # Backtrack: flip the deepest decision with an untried alternative
-        # (never a pinned one).
-        log = scheduler.log
-        depth = len(log) - 1
-        while depth >= pinned and log[depth][1] + 1 >= log[depth][0]:
-            depth -= 1
-        if depth < pinned:
-            return
-        prefix = [chosen for _, chosen in log[:depth]] + [log[depth][1] + 1]
 
 
 def count_runs(

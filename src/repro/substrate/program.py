@@ -8,7 +8,7 @@ commands.  :class:`Program` collects named threads (each a function from
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Generator, Optional, Sequence
+from typing import Any, Callable, Dict, Generator, Sequence
 
 from repro.substrate.context import Ctx
 from repro.substrate.runtime import Runtime, World
@@ -51,8 +51,6 @@ class Program:
     def runtime(
         self,
         scheduler: Scheduler,
-        metrics: Optional[Any] = None,
-        trace: Optional[Any] = None,
         memory_model: str = "sc",
     ) -> Runtime:
         return Runtime(
@@ -60,8 +58,6 @@ class Program:
             dict(self._threads),
             scheduler,
             self._monitors,
-            metrics=metrics,
-            trace=trace,
             memory_model=memory_model,
         )
 

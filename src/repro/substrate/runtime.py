@@ -215,8 +215,6 @@ class Runtime:
         monitors: Sequence[Any] = (),
         faults: Optional[FaultPlan] = None,
         on_crash: str = "record",
-        metrics: Optional[Any] = None,
-        trace: Optional[Any] = None,
         memory_model: str = MEMORY_SC,
     ) -> None:
         if on_crash not in ("record", "raise"):
@@ -252,10 +250,6 @@ class Runtime:
         self._injector: Optional[FaultInjector] = (
             FaultInjector(faults) if faults is not None else None
         )
-        # Duck-typed sinks (see repro.obs) — kept untyped so the
-        # substrate stays import-free of the observability layer.
-        self._metrics = metrics
-        self._trace_sink = trace
         #: Optional step observer, ``fn(tid, effect_or_None)``, called
         #: after each interpreted step (flush steps report as their
         #: ``~flush:<tid>`` pseudo-thread with a synthesized Write; a
@@ -340,32 +334,7 @@ class Runtime:
             finish = getattr(monitor, "on_finish", None)
             if finish is not None:
                 finish(self.world)
-        result = self._result(completed)
-        if self._metrics is not None:
-            # Mirrors repro.obs.metrics.observe_run (kept inline so the
-            # substrate does not import the observability layer): a
-            # Runtime built with metrics= records the same runtime.*
-            # counters as observe_run over its finished result.
-            metrics = self._metrics
-            metrics.count("runtime.runs")
-            metrics.count("runtime.steps", result.steps)
-            for name, value in result.counters.items():
-                metrics.count(f"runtime.{name}", value)
-            injected = result.counters.get("injected_pause", 0) + result.counters.get(
-                "injected_halt", 0
-            )
-            if injected:
-                metrics.count("runtime.injected_faults", injected)
-            if result.crashed:
-                metrics.count("runtime.crashed_threads", len(result.crashed))
-        if self._trace_sink is not None:
-            self._trace_sink.emit(
-                "run_end",
-                completed=completed,
-                steps=result.steps,
-                crashed=sorted(result.crashed),
-            )
-        return result
+        return self._result(completed)
 
     def _halt(self, tid: str, reason: str, drop_buffer: bool = False) -> None:
         """Silently halt ``tid``: it never steps again, its invocation
@@ -619,13 +588,6 @@ class Runtime:
         counters["alloc"] = counters.get("alloc", 0) + 1
         if reused:
             counters["cell_reuse"] = counters.get("cell_reuse", 0) + 1
-            if self._trace_sink is not None:
-                self._trace_sink.emit(
-                    "cell_reuse",
-                    tid=tid,
-                    node=repr(node),
-                    forced=mode is not None,
-                )
         return node
 
     def _on_free(self, tid: str, effect: Free) -> None:

@@ -210,6 +210,21 @@ class TestConfigIsTheShape:
                 assert "\n" not in str(refused.value)
                 assert store.get_campaign("c") is None
 
+    def test_durable_verify_refuses_a_budget(self, tmp_path):
+        """A budget would cut a shard with no stable boundary to resume
+        from; the parent stored both shards ``done`` after 10 runs and
+        returned OK."""
+        with CampaignStore(str(tmp_path / "s.db")) as store:
+            with pytest.raises(ValueError, match="budget") as refused:
+                durable_verify(
+                    store, "c", "exchanger2", "cal", X2.make_setup(),
+                    X2.make_spec(), {"max_steps": X2.max_steps},
+                    driver_kwargs={"budget": ExploreBudget(max_runs=10)},
+                )
+            assert "\n" not in str(refused.value)
+            assert store.get_campaign("c") is None
+            assert store.list_campaigns() == []
+
 
 class TestStoredLayoutsResume:
     def test_bare_list_explore_chunk(self, tmp_path):

@@ -239,8 +239,9 @@ class TestCampaignOptions:
             _run("fuzz", "--workload", "figure3", "--quiet", *flags)
 
     def test_max_runs_is_not_split_across_workers(self):
-        """The budget would apply per shard: two workers ran 200 runs
-        for ``--max-runs 100``."""
+        """A budgeted sweep runs unsharded in one process; the parent's
+        per-shard budgets ran 200 runs at two workers for
+        ``--max-runs 100``."""
         with pytest.raises(SystemExit, match="--workers") as refused:
             _run(
                 "explore", "--workload", "exchanger2", "--quiet",

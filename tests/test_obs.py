@@ -151,25 +151,6 @@ class TestObserveRun:
         for name, value in run.counters.items():
             assert metrics.get(f"runtime.{name}") == value
 
-    def test_runtime_metrics_param_matches_observe_run(self):
-        """Runtime(metrics=...) and observe_run(result) record the same
-        runtime.* counters — one substrate, two hook points."""
-        from repro.substrate.schedulers import RoundRobinScheduler
-
-        def build(metrics=None):
-            world = World()
-            exchanger = Exchanger(world, "E")
-            program = Program(world)
-            program.thread("t1", lambda ctx: exchanger.exchange(ctx, 1))
-            program.thread("t2", lambda ctx: exchanger.exchange(ctx, 2))
-            return program.runtime(RoundRobinScheduler(), metrics=metrics)
-
-        inline = Metrics()
-        build(metrics=inline).run(max_steps=500)
-        after = Metrics()
-        observe_run(after, build().run(max_steps=500))
-        assert inline.counters == after.counters
-
 
 # ----------------------------------------------------------------------
 # Trace sinks

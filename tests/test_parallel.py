@@ -20,7 +20,8 @@ from repro.checkers import (
     fuzz_linearizability,
     fuzz_linearizability_parallel,
 )
-from repro.checkers.parallel import _chunk
+from repro.checkers.parallel import _chunk, campaign_runner
+from repro.checkers.result import Verdict
 from repro.core.catrace import swap_element
 from repro.objects.base import operation
 from repro.objects.exchanger import Exchanger
@@ -200,6 +201,47 @@ class TestExploreSharding:
         assert len(results) < 100_000
 
 
+class TestBudgetBoundsTheWholeSweep:
+    """A budget bounds the whole exhaustive sweep at any worker count.
+    The parent gave each shard its own copy of the limits (200 runs for
+    ``max_runs=100`` at two workers), and its verify runner dropped the
+    budget from the merged report (OK after 10 of 4,622 schedules)."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_explore_stops_at_the_run_budget(self, workers):
+        budget = ExploreBudget(max_runs=100)
+        results = explore_parallel(
+            exchanger_program([1, 2]), max_steps=400, budget=budget,
+            workers=workers,
+        )
+        assert len(results) == 100
+        assert budget.runs == 100
+        assert budget.tripped
+        assert budget.reason == "run budget exhausted (100 runs)"
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_verify_runner_reports_a_cut_sweep_unknown(self, workers):
+        budget = ExploreBudget(max_runs=10)
+        report = campaign_runner("verify", "cal")(
+            exchanger_program([1, 2]), ExchangerSpec("E"), max_steps=400,
+            budget=budget, workers=workers,
+        )
+        assert report.verdict is Verdict.UNKNOWN
+        assert report.budget is budget
+        assert report.runs == budget.runs == 10
+
+    def test_budget_and_checkpoint_are_refused_for_both_kinds(self):
+        setup, budget = exchanger_program([1, 2]), ExploreBudget(max_runs=10)
+        with pytest.raises(ValueError, match="no stable boundary"):
+            explore_parallel(setup, max_steps=400, budget=budget, checkpoint=object())
+        with pytest.raises(ValueError, match="no stable boundary"):
+            campaign_runner("verify", "cal")(
+                setup, ExchangerSpec("E"), max_steps=400, budget=budget,
+                checkpoint=object(),
+            )
+        assert budget.runs == 0
+
+
 class TestBudgetClock:
     def test_start_is_idempotent_and_counts_setup_time(self):
         budget = ExploreBudget(deadline=0.02)
@@ -210,13 +252,3 @@ class TestBudgetClock:
         assert budget.tripped
         assert results == []
 
-    def test_remaining_deadline_decreases(self):
-        budget = ExploreBudget(deadline=5.0)
-        first = budget.remaining_deadline()
-        time.sleep(0.01)
-        second = budget.remaining_deadline()
-        assert first is not None and second is not None
-        assert second < first <= 5.0
-
-    def test_unbounded_budget_has_no_deadline(self):
-        assert ExploreBudget().remaining_deadline() is None

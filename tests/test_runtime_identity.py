@@ -9,7 +9,9 @@ insertion order, the history, the CA-trace, the step count, the crashed
 threads and the returns.  Monitored cases also hash every observer and
 monitor call with its arguments.
 
-The pinned digests were computed before the hot-path rewrite.  Print the
+The ``_swept`` cases also hash the budget tallies and progress events
+of ``explore_all`` under each of its options.  The pinned digests were
+computed before the rewrites they guard.  Print the
 current ones with ``PYTHONPATH=src python tests/test_runtime_identity.py``.
 """
 
@@ -22,7 +24,8 @@ from typing import Any, Callable, Dict, Iterator, List, Tuple
 import pytest
 
 from repro import cli
-from repro.substrate.explore import explore_all
+from repro.obs.tracing import TraceSink
+from repro.substrate.explore import ExploreBudget, explore_all
 from repro.substrate.faults import FaultCampaign
 from repro.substrate.schedulers import PrefixRandomScheduler, RandomScheduler
 from repro.workloads.programs import store_buffer_litmus
@@ -129,6 +132,33 @@ def _explored(reduction: str) -> Iterator[Tuple]:
         yield _run_record(run, run.schedule)
 
 
+def _swept(
+    reduction: str = "none",
+    max_steps: int = 0,
+    budget: Any = None,
+    **options: Any,
+) -> Iterator[Tuple]:
+    """One ``explore_all`` sweep of exchanger2: every run, then the
+    budget's tallies, then the ``campaign_progress`` events without
+    their clock."""
+    workload = cli.WORKLOADS["exchanger2"]
+    sink = TraceSink()
+    for run in explore_all(
+        workload.make_setup(),
+        max_steps=max_steps or workload.max_steps,
+        budget=budget,
+        trace=sink,
+        progress_every=97,
+        reduction=reduction,
+        **options,
+    ):
+        yield _run_record(run, run.schedule)
+    if budget is not None:
+        yield budget.stats()
+    for event in sink.events:
+        yield sorted((k, v) for k, v in event.items() if k != "elapsed_s")
+
+
 #: name -> run family.  Fault campaigns draw one plan per seed.
 CASES: Dict[str, Callable[[], Iterator[Tuple]]] = {
     "treiber-hazard-tso": lambda: _seeded("treiber-hazard-tso", range(300)),
@@ -161,9 +191,28 @@ CASES: Dict[str, Callable[[], Iterator[Tuple]]] = {
     ),
     "exchanger2-explore-all": lambda: _explored("none"),
     "exchanger2-explore-dpor": lambda: _explored("dpor"),
+    "exchanger2-none-progress": lambda: _swept(),
+    "exchanger2-none-preemption-bound": lambda: _swept(preemption_bound=2),
+    "exchanger2-none-step-cut": lambda: _swept(
+        max_steps=14, include_incomplete=True
+    ),
+    "exchanger2-none-pinned": lambda: _swept(pin_prefix=[1]),
+    "exchanger2-none-limit": lambda: _swept(limit=500),
+    "exchanger2-none-run-budget": lambda: _swept(
+        budget=ExploreBudget(max_runs=700)
+    ),
+    "exchanger2-none-step-budget": lambda: _swept(
+        budget=ExploreBudget(step_budget=20_000)
+    ),
+    "exchanger2-sleep-set-progress": lambda: _swept("sleep-set"),
+    "exchanger2-dpor-run-budget": lambda: _swept(
+        "dpor", budget=ExploreBudget(max_runs=40)
+    ),
 }
 
-#: Digests computed at the commit before the hot-path rewrite.
+#: Digests computed at the commit before the hot-path rewrite; the
+#: ``_swept`` cases at the commit before the unreduced sweep moved onto
+#: the shared replay loop.
 PINNED = {
     "exchanger2-explore-all": (
         4622,
@@ -172,6 +221,42 @@ PINNED = {
     "exchanger2-explore-dpor": (
         58,
         "59340c6073ed8960a221b57ea6833c9b0914e2acd106ea35fd2448b3783f01dd",
+    ),
+    "exchanger2-dpor-run-budget": (
+        41,
+        "043adc87dc4dc9b5679eda1aae57b2606a96233bafe8c8b829f1ec6e535bda3e",
+    ),
+    "exchanger2-none-limit": (
+        505,
+        "5a1c106a1ce0f5a279b2e9aceedc36bf431231e3f473d831f53b86e005accc69",
+    ),
+    "exchanger2-none-pinned": (
+        2334,
+        "d03883e4dbe7c35b8f7108c3a0c55bf39b641a43b5ed6eabd7c87cf5929ea23f",
+    ),
+    "exchanger2-none-preemption-bound": (
+        92,
+        "dc083d0222c1003b870f71c25fa7cd8d17d8816ef5de2a56b9e6bb9d5eef9132",
+    ),
+    "exchanger2-none-progress": (
+        4669,
+        "531263313866964c47873cdafbd5f8a312f45952aa2e935310c2122bc53ceb53",
+    ),
+    "exchanger2-none-run-budget": (
+        708,
+        "434fc589e019e84c554d8cbc2bde4c9c98309e4c9bbc317e5ae6eb029a055be6",
+    ),
+    "exchanger2-none-step-budget": (
+        1362,
+        "4fb38ccdb26615789507c8e917d69c2e61d5c127758de89dd65c42c651dd1652",
+    ),
+    "exchanger2-none-step-cut": (
+        4669,
+        "0a26185cbf6923b68d0f623f38c7f35240430b884c020308cf9d758340f0adc6",
+    ),
+    "exchanger2-sleep-set-progress": (
+        59,
+        "4220d61973ce61eb09485337fa65fe9e3a46443fab57d1496c610ee1ea8326a6",
     ),
     "msqueue-reclaim": (
         300,

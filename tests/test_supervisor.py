@@ -25,7 +25,6 @@ from repro.obs.coverage import CoverageTracker
 from repro.obs.metrics import Metrics
 from repro.obs.tracing import TraceSink
 from repro.specs import ExchangerSpec
-from repro.substrate.explore import ExploreBudget
 from repro.workloads.programs import exchanger_program
 
 needs_fork = pytest.mark.skipif(
@@ -166,13 +165,3 @@ class TestExploreQuarantine:
         killing = _kill_always_setup(exchanger_program([1, 2]), os.getpid())
         with pytest.raises(RuntimeError, match="quarantined"):
             explore_parallel(killing, max_steps=400, workers=2)
-
-    def test_lost_shard_with_budget_degrades_to_tripped(self):
-        killing = _kill_always_setup(exchanger_program([1, 2]), os.getpid())
-        budget = ExploreBudget()
-        results = explore_parallel(
-            killing, max_steps=400, workers=2, budget=budget
-        )
-        assert budget.tripped
-        assert "quarantined" in (budget.reason or "")
-        assert results == []
