@@ -1,4 +1,4 @@
-"""E21: guided search — greybox corpus guidance and sleep-set reduction.
+"""E21: guided search — greybox corpus guidance and DPOR reduction.
 
 Two claims, one per tentpole half of the search layer:
 
@@ -22,12 +22,12 @@ corruption at very high rates.  This benchmark measures that protocol:
 The headline ``guided_speedup`` is median(warm) / median(uniform) and
 must stay ≤ 0.5 (observed ≈ 0.01–0.05).
 
-**Sleep-set reduction (schedules-to-saturation).**  For exhaustive
+**Partial-order reduction (schedules-to-saturation).**  For exhaustive
 exploration the question is how many schedules must run before the
-history set saturates.  ``reduction="sleep-set"`` visits strictly fewer
+history set saturates.  ``reduction="dpor"`` visits strictly fewer
 schedules than ``reduction="none"`` while producing the same history
-set; ``sleep_set_reduction`` reports the shrink factor on the exchanger
-workload (observed ≈ 80×).
+set; ``dpor_reduction`` reports the shrink factor on the exchanger
+workload (observed ≈ 80×, as the retired sleep-set engine's).
 
 Runs two ways:
 
@@ -63,8 +63,8 @@ from repro.workloads.programs import (
 #: a wide margin for unlucky base draws.
 GUIDED_BAR = 0.5
 
-#: Sleep sets must shrink the exchanger schedule count at least this
-#: much while reproducing the same history set.  Observed ≈ 80×.
+#: DPOR must shrink the exchanger schedule count at least this much
+#: while reproducing the same history set.  Observed ≈ 80× (4622 → 58).
 REDUCTION_BAR = 10.0
 
 #: Per-base budget: runs-to-bug values are censored here.  The uniform
@@ -169,8 +169,8 @@ def run_guided(bases: int) -> Dict:
     }
 
 
-#: Sleep-set workloads: (name, setup factory, max_steps).  All three
-#: are CAL workloads with exhaustible schedule spaces.
+#: Reduction workloads: (name, setup factory, max_steps).  Both are CAL
+#: workloads with exhaustible schedule spaces.
 REDUCTION_CASES = (
     ("exchanger-2", lambda: exchanger_program([3, 4]), 200),
     (
@@ -189,19 +189,19 @@ def _history_key(run) -> tuple:
 
 
 def run_reduction(quick: bool) -> Dict:
-    """Schedules-to-saturation: sleep-set vs none, same history sets."""
+    """Schedules-to-saturation: dpor vs none, same history sets."""
     out: Dict[str, Dict] = {}
     for name, factory, max_steps in REDUCTION_CASES:
         full = list(explore_all(factory(), max_steps=max_steps))
         reduced = list(
-            explore_all(factory(), max_steps=max_steps, reduction="sleep-set")
+            explore_all(factory(), max_steps=max_steps, reduction="dpor")
         )
         assert {_history_key(r) for r in full} == {
             _history_key(r) for r in reduced
-        }, f"{name}: sleep-set changed the outcome set"
+        }, f"{name}: dpor changed the outcome set"
         out[name] = {
             "full": len(full),
-            "sleep_set": len(reduced),
+            "dpor": len(reduced),
             "factor": len(full) / len(reduced),
         }
     return out
@@ -218,7 +218,7 @@ def run_all(bases: int, quick: bool) -> Dict:
         **guided,
         "reduction": reduction,
         "guided_speedup": guided["guided_speedup"],
-        "sleep_set_reduction": headline["factor"],
+        "dpor_reduction": headline["factor"],
     }
 
 
@@ -231,11 +231,11 @@ def test_e21_guided_search_under_bars(record):
         guided_speedup=round(summary["guided_speedup"], 4),
         uniform_median=summary["uniform_median"],
         warm_median=summary["warm_median"],
-        sleep_set_reduction=round(summary["sleep_set_reduction"], 1),
+        dpor_reduction=round(summary["dpor_reduction"], 1),
     )
     assert summary["guided_speedup"] <= GUIDED_BAR, summary
     assert summary["warm_censored"] == 0, summary
-    assert summary["sleep_set_reduction"] >= REDUCTION_BAR, summary
+    assert summary["dpor_reduction"] >= REDUCTION_BAR, summary
 
 
 # ----------------------------------------------------------------------
@@ -268,15 +268,15 @@ def main(argv=None) -> int:
         f"\nguided speedup {summary['guided_speedup']:.4f} "
         f"(bar {GUIDED_BAR}); corpus {summary['corpus_size']} entries"
     )
-    print(f"\n{'workload':<14} {'full':>8} {'sleep-set':>10} {'factor':>8}")
+    print(f"\n{'workload':<14} {'full':>8} {'dpor':>10} {'factor':>8}")
     print("-" * 42)
     for name, row in summary["reduction"].items():
         print(
-            f"{name:<14} {row['full']:>8} {row['sleep_set']:>10} "
+            f"{name:<14} {row['full']:>8} {row['dpor']:>10} "
             f"{row['factor']:>7.1f}x"
         )
     print(
-        f"\nsleep-set reduction {summary['sleep_set_reduction']:.1f}x "
+        f"\ndpor reduction {summary['dpor_reduction']:.1f}x "
         f"(bar {REDUCTION_BAR:.0f}x)"
     )
 
@@ -287,7 +287,7 @@ def main(argv=None) -> int:
 
     ok = (
         summary["guided_speedup"] <= GUIDED_BAR
-        and summary["sleep_set_reduction"] >= REDUCTION_BAR
+        and summary["dpor_reduction"] >= REDUCTION_BAR
     )
     return 0 if ok else 1
 

@@ -1,18 +1,18 @@
 """E23: exploration provenance — a free audit trail for reduced search.
 
 The claim: the :class:`~repro.obs.provenance.ExplorationLedger` is pure
-observation.  With the ledger **off** (the default) the reduced engines
-are byte-identical to the pre-ledger code path — same schedules, in the
+observation.  With the ledger **off** (the default) the reduced engine
+is byte-identical to the pre-ledger code path — same schedules, in the
 same order, with the same outcomes.  With the ledger **on**, recording
 the disposition of every candidate schedule (executed / pruned /
-race-reversed, with race evidence under dpor) costs less than
+race-reversed, with race evidence) costs less than
 :data:`OVERHEAD_BAR` wall-clock on the E22 workload set, and the books
 balance: ``visited == executed + pruned == roots + advances`` exactly.
 
 Reported numbers:
 
-* per workload — schedule counts and off/on wall-clock for the
-  sleep-set and dpor sweeps, plus the reconciliation verdict;
+* per workload — schedule counts and off/on wall-clock for the dpor
+  sweep, plus the reconciliation verdict;
 * ``provenance_overhead`` (headline, gated) — the aggregate
   enabled-to-disabled wall-clock ratio (total on-time over total
   off-time across all sweeps) minus 1, so 0.04 means recording costs
@@ -54,8 +54,6 @@ OVERHEAD_BAR = 0.10
 #: scheduler jitter (the sweeps are tens of milliseconds).
 REPEATS = 5
 
-REDUCTIONS = ("sleep-set", "dpor")
-
 
 def _fingerprint(runs):
     """Order-sensitive identity of a sweep: every schedule + outcome."""
@@ -66,13 +64,13 @@ def _fingerprint(runs):
     ]
 
 
-def _timed_sweep(setup, max_steps: int, reduction: str, ledger):
+def _timed_sweep(setup, max_steps: int, ledger):
     started = time.perf_counter()
     runs = list(
         explore_all(
             setup,
             max_steps=max_steps,
-            reduction=reduction,
+            reduction="dpor",
             provenance=ledger,
         )
     )
@@ -86,40 +84,34 @@ def run_all(quick: bool) -> Dict:
         if quick and not in_quick:
             continue
         setup = factory()
-        row: Dict = {}
-        for reduction in REDUCTIONS:
-            off_s = on_s = None
-            off_runs = on_runs = ledger = None
-            for _ in range(REPEATS):
-                off_runs, elapsed = _timed_sweep(
-                    setup, max_steps, reduction, None
-                )
-                off_s = elapsed if off_s is None else min(off_s, elapsed)
-                ledger = ExplorationLedger()
-                on_runs, elapsed = _timed_sweep(
-                    setup, max_steps, reduction, ledger
-                )
-                on_s = elapsed if on_s is None else min(on_s, elapsed)
+        off_s = on_s = None
+        off_runs = on_runs = ledger = None
+        for _ in range(REPEATS):
+            off_runs, elapsed = _timed_sweep(setup, max_steps, None)
+            off_s = elapsed if off_s is None else min(off_s, elapsed)
+            ledger = ExplorationLedger()
+            on_runs, elapsed = _timed_sweep(setup, max_steps, ledger)
+            on_s = elapsed if on_s is None else min(on_s, elapsed)
 
-            assert _fingerprint(on_runs) == _fingerprint(off_runs), (
-                f"{name}/{reduction}: the ledger changed the exploration"
-            )
-            visited = ledger.get("schedule.executed") + sum(
-                ledger.prune_causes().values()
-            )
-            audit = ledger.reconcile(visited)
-            assert audit["balanced"], f"{name}/{reduction}: {audit}"
-            # include_incomplete=False yields only completed runs; cut
-            # runs still executed (and count as such on the books).
-            assert audit["completed"] == len(on_runs), (
-                f"{name}/{reduction}: completed {audit['completed']} != "
-                f"{len(on_runs)} results"
-            )
-            total_off += off_s
-            total_on += on_s
-            ratio = on_s / off_s if off_s else 1.0
-            key = reduction.replace("-", "_")
-            row[key] = {
+        assert _fingerprint(on_runs) == _fingerprint(off_runs), (
+            f"{name}: the ledger changed the exploration"
+        )
+        visited = ledger.get("schedule.executed") + sum(
+            ledger.prune_causes().values()
+        )
+        audit = ledger.reconcile(visited)
+        assert audit["balanced"], f"{name}: {audit}"
+        # include_incomplete=False yields only completed runs; cut runs
+        # still executed (and count as such on the books).
+        assert audit["completed"] == len(on_runs), (
+            f"{name}: completed {audit['completed']} != "
+            f"{len(on_runs)} results"
+        )
+        total_off += off_s
+        total_on += on_s
+        ratio = on_s / off_s if off_s else 1.0
+        workloads[name] = {
+            "dpor": {
                 "schedules": len(on_runs),
                 "pruned": audit["pruned"],
                 "off_s": round(off_s, 4),
@@ -127,7 +119,7 @@ def run_all(quick: bool) -> Dict:
                 "ratio": round(ratio, 3),
                 "balanced": audit["balanced"],
             }
-        workloads[name] = row
+        }
     # Aggregate, not per-sweep median: weighting by wall-clock keeps
     # the headline stable when the shortest sweeps (~10ms) jitter.
     overhead = total_on / total_off - 1.0 if total_off else 0.0

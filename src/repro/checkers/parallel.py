@@ -783,7 +783,7 @@ def explore_parallel(
     ``campaign_progress`` event, and with ``progress_every > 0`` a shard
     run in this process also emits one every that many runs.
 
-    ``reduction="sleep-set"`` / ``reduction="dpor"`` reduce each shard,
+    ``reduction="dpor"`` reduces each shard,
     and shard ``k`` starts with the first-step footprints of shards
     ``0..k-1`` asleep (:func:`~repro.substrate.explore.shard_sleep_seeds`),
     so the concatenated shard results equal the sequential reduced

@@ -317,19 +317,18 @@ def verify_cal(
     durable campaigns checkpoint on: per-shard reports merged in pin
     order (:meth:`VerificationReport.merge`) equal an unsharded sweep.
 
-    ``reduction="sleep-set"`` / ``reduction="dpor"`` prune
-    commutativity-equivalent interleavings during exploration (see
-    :func:`~repro.substrate.explore.explore_all`): the verdict and the
-    set of distinct failing histories are preserved, with strictly
-    fewer runs checked whenever independent steps commute.
+    ``reduction="dpor"`` prunes commutativity-equivalent interleavings
+    during exploration (see :func:`~repro.substrate.explore.explore_all`):
+    the verdict and the set of distinct failing histories are preserved,
+    with fewer runs checked whenever independent steps commute.
     ``sleep_seed`` hands a sharded reduced sweep the sleep state of its
     siblings (see :func:`~repro.substrate.explore.shard_sleep_seeds`);
     the reduction/bound combination is validated before any trace event
     is emitted.
 
     ``provenance`` (an :class:`~repro.obs.provenance.ExplorationLedger`)
-    audits the reduced engines' schedule dispositions — executed,
-    pruned, race-reversed, with race evidence under ``"dpor"`` — into a
+    audits the reduced engine's schedule dispositions — executed,
+    pruned, race-reversed, with race evidence — into a
     campaign-local ledger whose snapshot lands in ``report.provenance``
     and merges into the caller's ledger, mirroring ``metrics``.
     Observation-only: the explored schedules are identical either way.

@@ -116,10 +116,9 @@ def observe_run(metrics: Metrics, result: Any) -> None:
 
     ``result`` is duck-typed as a
     :class:`~repro.substrate.runtime.RunResult` (``steps``, ``counters``,
-    ``crashed``).  Produces the same ``runtime.*`` counters as a
-    :class:`~repro.substrate.runtime.Runtime` constructed with
-    ``metrics=`` — the hook the fuzz/verify drivers use, since they only
-    see finished results, never the runtime itself.
+    ``crashed``) and produces the ``runtime.*`` counters.  The fuzz and
+    verify drivers call it on every finished run: they see results, never
+    the runtime itself.
     """
     metrics.count("runtime.runs")
     metrics.count("runtime.steps", result.steps)

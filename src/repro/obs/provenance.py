@@ -7,8 +7,7 @@ of every candidate schedule an engine considered:
 * **executed** — the run went through ``runtime.run`` (whether or not
   the run completed within ``max_steps``);
 * **pruned by sleep set** — the continuation was abandoned because every
-  enabled thread was asleep (both the sleep-set engine and source-set
-  DPOR prune this way);
+  enabled thread was asleep;
 * **deferred into a wakeup tree** — a race reversal was queued as a
   wakeup sequence for later execution (DPOR only), with the admission
   outcome (queued / rotated / conservative fallback / rejected and why);
@@ -39,8 +38,10 @@ Counter reference (all plain ``counters`` entries):
 * ``schedule.root`` — exploration entry points that attempted at least
   one schedule (1 sequentially; one per shard when sharded);
 * ``schedule.race_reversal`` — backtracks into a queued wakeup sequence;
-* ``schedule.sibling_advance`` — sleep-set backtracks into the next
-  awake sibling;
+* ``schedule.sibling_advance`` — backtracks into the next awake sibling,
+  booked only by the sleep-set engine that ``reduction="sleep-set"``
+  named before it became a synonym of ``"dpor"``; still summed so the
+  ledgers that engine stored keep balancing;
 * ``schedule.value_flip`` — backtracks that advanced a ``Choose`` node;
 * ``race.immediate`` / ``race.pinned`` — immediate races analysed /
   races whose earlier step ran under a pinned (shard) decision;
@@ -149,11 +150,12 @@ class ExplorationLedger:
     def record_advance(self, kind: str) -> None:
         """One backtrack advanced — ``kind`` names what it advanced into.
 
-        ``"race_reversal"`` (a queued wakeup sequence),
-        ``"sibling_advance"`` (the sleep-set engine's next awake
-        sibling) or ``"value_flip"`` (a ``Choose`` alternative).  Every
-        attempted schedule after its root's first is preceded by exactly
-        one advance, which is what makes :meth:`reconcile` exact.
+        ``"race_reversal"`` (a queued wakeup sequence) or
+        ``"value_flip"`` (a ``Choose`` alternative); ledgers stored by
+        the retired sleep-set engine also hold ``"sibling_advance"``
+        (its next awake sibling).  Every attempted schedule after its
+        root's first is preceded by exactly one advance, which is what
+        makes :meth:`reconcile` exact.
         """
         self.count(f"schedule.{kind}")
 

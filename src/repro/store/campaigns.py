@@ -288,7 +288,7 @@ def durable_explore(
     a chunk, in pin order.  Budgets are unsupported here because a cut
     shard has no stable boundary to resume from.  ``config`` pins
     ``max_steps`` and optionally ``reduction`` (``"none"`` |
-    ``"sleep-set"`` | ``"dpor"``).
+    ``"dpor"``; ``"sleep-set"`` is a deprecated synonym of ``"dpor"``).
     """
     results = _campaign(
         store, campaign_id, "explore", workload, checker, config, workers,

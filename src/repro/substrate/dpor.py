@@ -1,11 +1,11 @@
 """Source-set dynamic partial-order reduction with wakeup trees.
 
-Sleep sets (:class:`SleepSetExplorer`) *enumerate-then-skip*: every
-branch of every decision node is still visited, and redundant ones are
-cut only after the scheduler reaches them, so wide programs pay close to
-full enumeration cost in pruned partial runs.  DPOR inverts the control:
-an explored run is analysed for **races** — pairs of steps by different
-agents that are adjacent in the happens-before order and dependent under
+Sleep sets alone *enumerate-then-skip*: every branch of every decision
+node is still visited, and redundant ones are cut only after the
+scheduler reaches them, so wide programs pay close to full enumeration
+cost in pruned partial runs.  DPOR inverts the control: an explored run
+is analysed for **races** — pairs of steps by different agents that are
+adjacent in the happens-before order and dependent under
 the effect-footprint independence relation — and only the schedule
 reversals those races demand are queued, as **wakeup sequences** at the
 node where the race's earlier step was scheduled.  A branch that no race
@@ -39,9 +39,12 @@ refinement of Abdulla et al.'s source-set DPOR:
 Sleep sets are kept as well (they are what makes source-set DPOR
 *source-set*): a completed branch's agent sleeps in its siblings until a
 dependent step wakes it, so the engine never re-explores a reversal from
-the other side.  Switched off, the race analysis leaves exactly
-Godefroid's sleep-set search, which is therefore a small subclass here;
-both run through the replay loop in :mod:`repro.substrate.explore`.
+the other side.  A sleeping agent is never scheduled, not even as the
+head of a planned wakeup sequence: its step commutes into a branch
+already explored, so the plan is dropped like one whose head is not
+enabled.  On every pinned program the engine visits no more schedules
+than Godefroid's sleep-set search alone, which it replaced; it runs
+through the replay loop in :mod:`repro.substrate.explore`.
 """
 
 from __future__ import annotations
@@ -251,14 +254,12 @@ class DporExplorer:
         index: Optional[int] = None
         if plan:
             head = plan[0]
-            if head in enabled:
+            if head in enabled and head not in node.sleep:
                 index = enabled.index(head)
-                # A planned wakeup overrides an inherited sleeper: the
-                # race analysis asked for this agent here explicitly.
-                node.sleep.pop(head, None)
                 node.plan = tuple(plan[1:])
             # else: the program diverged from the planned reversal
-            # (the agent finished or is not schedulable here) — drop
+            # (the agent finished, is not schedulable here, or sleeps:
+            # its step commutes into a branch already explored) — drop
             # the tail and fall back to default exploration; any
             # reversal still needed re-emerges from this subtree's
             # own race analysis.
@@ -298,7 +299,15 @@ class DporExplorer:
         self._current = None
         step = footprint_of(tid, effect, self._memory_model)
         if node is None:
-            self._pinned_step(step)
+            # A pinned decision's step: filter the shard seed through it.
+            self._awaiting_pinned_step = False
+            if self._seed_live:
+                self._seed_live = {
+                    sleeper: pending
+                    for sleeper, pending in self._seed_live.items()
+                    if independent(pending, step)
+                }
+            self._pending_sleep = dict(self._seed_live)
         else:
             node.footprint = step
             self._pending_sleep = {
@@ -314,17 +323,6 @@ class DporExplorer:
                 # must be analysed too.
                 self._suffix_start = len(self.events)
         self.events.append(_Event(node, tid, step))
-
-    def _pinned_step(self, step: Footprint) -> None:
-        """A pinned decision's step: filter the shard seed through it."""
-        self._awaiting_pinned_step = False
-        if self._seed_live:
-            self._seed_live = {
-                sleeper: pending
-                for sleeper, pending in self._seed_live.items()
-                if independent(pending, step)
-            }
-        self._pending_sleep = dict(self._seed_live)
 
     # -- race analysis --------------------------------------------------
     def end_run(self) -> None:
@@ -547,69 +545,18 @@ class DporExplorer:
             node.sleep[done] = (
                 node.footprint if node.footprint is not None else OPAQUE
             )
-            advance = self._advance(node)
-            if advance is not None:
+            while node.wakeup:
+                head, *tail = node.wakeup.pop(0)
+                if head in node.sleep:
+                    if self.ledger is not None:
+                        self.ledger.record_wakeup(
+                            "rejected_covered_since_queued"
+                        )
+                    continue  # covered since it was queued
+                node.chosen = node.enabled.index(head)
+                node.plan = tuple(tail)
                 node.footprint = None
-                self.staged_advance = advance
+                self.staged_advance = "race_reversal"
                 return True
             stack.pop()
         return False
-
-    def _advance(self, node: _DporNode) -> Optional[str]:
-        """Take ``node``'s next queued wakeup; the advance kind, or None."""
-        while node.wakeup:
-            head, *tail = node.wakeup.pop(0)
-            if head in node.sleep:
-                if self.ledger is not None:
-                    self.ledger.record_wakeup("rejected_covered_since_queued")
-                continue  # covered since it was queued
-            node.chosen = node.enabled.index(head)
-            node.plan = tuple(tail)
-            return "race_reversal"
-        return None
-
-
-class SleepSetExplorer(DporExplorer):
-    """Godefroid's sleep-set search: :class:`DporExplorer` without races.
-
-    A child node inherits the parent's sleepers that are independent of
-    the executed step, and a finished branch's thread falls asleep at
-    its node.  With no race analysis to ask for branches, every awake
-    sibling gets one; a continuation whose enabled threads are all
-    asleep commutes into runs already explored and is pruned.  History
-    appends all write the shared ``("hist",)`` token (see
-    :mod:`repro.substrate.independence`), so the complete-run histories
-    — hence verdicts and counterexamples — are those of ``"none"``.
-    """
-
-    def on_step(self, tid: str, effect: Any) -> None:
-        # DporExplorer.on_step without the event list, which exists only
-        # for race analysis.
-        node = self._current
-        self._current = None
-        step = footprint_of(tid, effect, self._memory_model)
-        if node is None:
-            self._pinned_step(step)
-            return
-        node.footprint = step
-        self._pending_sleep = {
-            sleeper: pending
-            for sleeper, pending in node.sleep.items()
-            if independent(pending, step)
-        }
-
-    def _note_unobserved_step(self) -> None:
-        # Nothing to queue: once its branch is done, the unobserved
-        # step's thread sleeps as OPAQUE (see ``backtrack``).
-        self._current = None
-
-    def end_run(self) -> None:
-        """No race analysis: sleep sets prune by enumeration alone."""
-
-    def _advance(self, node: _DporNode) -> Optional[str]:
-        """Take the next awake sibling in ``enabled`` order, if any."""
-        for index in range(node.chosen + 1, len(node.enabled)):
-            if node.enabled[index] not in node.sleep:
-                node.chosen = index
-                return "sibling_advance"
-        return None

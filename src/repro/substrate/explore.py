@@ -30,7 +30,7 @@ from typing import (
     Tuple,
 )
 
-from repro.substrate.dpor import DporExplorer, SleepSetExplorer, _PrunedRun
+from repro.substrate.dpor import DporExplorer, _PrunedRun
 from repro.substrate.faults import FaultPlan
 from repro.substrate.independence import OPAQUE, Footprint, footprint_of
 from repro.substrate.runtime import MEMORY_MODELS, RunResult, Runtime
@@ -44,6 +44,8 @@ from repro.substrate.schedulers import (
 SetupFn = Callable[[Scheduler], Runtime]
 
 #: Partial-order-reduction modes accepted by :func:`explore_all`.
+#: ``"sleep-set"`` is a deprecated synonym of ``"dpor"``, kept so stored
+#: campaign configs that name it still run (and keep their ids).
 REDUCTIONS = ("none", "sleep-set", "dpor")
 
 
@@ -281,11 +283,10 @@ def _explore(
 ) -> Iterator[RunResult]:
     """The one replay loop behind every exploration mode.
 
-    ``explorer`` (an :class:`_UnreducedExplorer`, a
-    :class:`~repro.substrate.dpor.DporExplorer`, or its race-free
-    :class:`~repro.substrate.dpor.SleepSetExplorer`) supplies the
-    strategy, and ``new_scheduler`` each run's scheduler: ``begin_run``
-    arms the explorer over a fresh runtime, ``end_run`` runs any per-run
+    ``explorer`` (an :class:`_UnreducedExplorer` or a
+    :class:`~repro.substrate.dpor.DporExplorer`) supplies the strategy,
+    and ``new_scheduler`` each run's scheduler: ``begin_run`` arms the
+    explorer over a fresh runtime, ``end_run`` runs any per-run
     analysis (the DPOR race detection; a no-op otherwise), and
     ``backtrack`` advances to the next unexplored leaf.  The explorer's
     optional ``ledger`` receives each attempt's disposition — every
@@ -404,25 +405,22 @@ def explore_all(
     — the live-progress hook for open-ended enumerations, usable
     standalone (without any checker driver on top).
 
-    ``reduction`` selects the partial-order-reduction mode; every mode
-    runs through one replay loop and differs only in the explorer that
+    ``reduction`` selects the partial-order-reduction mode; both modes
+    run through one replay loop and differ only in the explorer that
     picks each run's decisions and backtracks.  ``"none"`` (the default)
     is the historical exhaustive enumeration, decision sequence for
-    decision sequence.  ``"sleep-set"`` prunes branches
-    that only commute independent steps of branches already explored
-    (see :mod:`repro.substrate.independence` and ``docs/search.md``):
-    the set of complete-run histories — hence verdicts and
-    counterexample content — is preserved, while strictly fewer
-    schedules are visited whenever any co-enabled steps commute.
-    ``"dpor"`` (:mod:`repro.substrate.dpor`) goes further: instead of
-    enumerating-then-skipping, it detects races in explored runs and
-    schedules only the reversals those races demand, as wakeup
-    sequences — no schedule is generated and then discarded, so very
-    wide programs stop paying enumeration cost.  Both reduced modes are
-    incompatible with ``preemption_bound`` (CHESS bounding changes
-    which continuations exist, invalidating the covering argument) and
-    both validate their configuration *before* the first run, at call
-    time.
+    decision sequence.  ``"dpor"`` (:mod:`repro.substrate.dpor`) detects
+    races in explored runs and schedules only the reversals those races
+    demand, as wakeup sequences, while sleep sets cut the branches that
+    only commute independent steps of branches already explored (see
+    :mod:`repro.substrate.independence` and ``docs/search.md``).  The
+    set of complete-run histories — hence verdicts and counterexample
+    content — is preserved, while fewer schedules are visited whenever
+    any co-enabled steps commute.  ``"sleep-set"`` is a deprecated
+    synonym of ``"dpor"``.  The reduction is incompatible with
+    ``preemption_bound`` (CHESS bounding changes which continuations
+    exist, invalidating the covering argument), and the configuration
+    is validated *before* the first run, at call time.
 
     ``sleep_seed`` (thread -> first-step footprint) seeds the sleep set
     of the first unpinned decision node; the parallel and durable
@@ -433,8 +431,8 @@ def explore_all(
 
     ``provenance`` (an :class:`~repro.obs.provenance.ExplorationLedger`)
     records the disposition of every candidate schedule the reduced
-    engines consider — executed, pruned, deferred into a wakeup tree,
-    spawned by a race reversal — plus race evidence under ``"dpor"``.
+    engine considers — executed, pruned, deferred into a wakeup tree,
+    spawned by a race reversal — plus race evidence.
     Off by default and observation-only: the explored schedules are
     identical with or without it.  Ignored by ``reduction="none"``
     (unreduced enumeration has no dispositions to audit).
@@ -444,8 +442,9 @@ def explore_all(
         explorer: Any = _UnreducedExplorer(pin_prefix, preemption_bound)
         new_scheduler = explorer.new_scheduler
     else:
-        engine = DporExplorer if reduction == "dpor" else SleepSetExplorer
-        explorer = engine(pin_prefix, sleep_seed=sleep_seed, ledger=provenance)
+        explorer = DporExplorer(
+            pin_prefix, sleep_seed=sleep_seed, ledger=provenance
+        )
         new_scheduler = partial(_ReducedScheduler, explorer)
     return _explore(
         explorer,

@@ -2,10 +2,11 @@
 
 Two atomic steps are **independent** when they commute: executed in
 either order from the same state they are both enabled, reach the same
-state, and neither changes the other's result.  The sleep-set explorer
-(:mod:`repro.substrate.explore`, ``reduction="sleep-set"``) prunes a
-branch when every enabled step is provably covered — via independence —
-by a sibling branch already explored.
+state, and neither changes the other's result.  The DPOR explorer
+(:mod:`repro.substrate.dpor`, ``reduction="dpor"``) detects races between
+dependent steps, and its sleep sets prune a branch when every enabled
+step is provably covered — via independence — by a sibling branch
+already explored.
 
 The relation is derived from the effect vocabulary as a conservative
 **footprint**: each step reads and writes a set of abstract location

@@ -253,9 +253,9 @@ class Runtime:
         #: Optional step observer, ``fn(tid, effect_or_None)``, called
         #: after each interpreted step (flush steps report as their
         #: ``~flush:<tid>`` pseudo-thread with a synthesized Write; a
-        #: thread's finishing step reports ``None``).  The sleep-set
-        #: explorer (:mod:`repro.substrate.explore`) attaches here to
-        #: compute per-step footprints; ``None`` (the default) is
+        #: thread's finishing step reports ``None``).  The DPOR explorer
+        #: (:mod:`repro.substrate.dpor`) attaches here to compute
+        #: per-step footprints; ``None`` (the default) is
         #: bit-identical to the pre-hook runtime.
         self.observer: Optional[Callable[[str, Optional[Effect]], None]] = None
 

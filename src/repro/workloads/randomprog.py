@@ -1,6 +1,6 @@
 """Small random substrate programs for cross-engine conformance testing.
 
-The DPOR/sleep-set/unreduced engines must agree on *every* program, not
+The DPOR and unreduced engines must agree on *every* program, not
 just the curated workloads — so the conformance suite
 (``tests/test_dpor.py``) and the independence property tests
 (``tests/test_independence.py``) draw programs from this generator:
@@ -12,7 +12,7 @@ Everything is a pure function of ``seed`` (via ``random.Random``, whose
 sequence is stable across Python versions), so a failing seed is a
 complete reproducer.  Programs are deliberately tiny: the unreduced
 engine must be able to enumerate them exhaustively, since it is the
-ground truth the reduced engines are compared against.
+ground truth the reduced engine is compared against.
 """
 
 from __future__ import annotations

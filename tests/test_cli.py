@@ -238,16 +238,43 @@ class TestCampaignOptions:
         with pytest.raises(SystemExit, match="--store"):
             _run("fuzz", "--workload", "figure3", "--quiet", *flags)
 
-    def test_max_runs_is_not_split_across_workers(self):
-        """A budgeted sweep runs unsharded in one process; the parent's
-        per-shard budgets ran 200 runs at two workers for
-        ``--max-runs 100``."""
-        with pytest.raises(SystemExit, match="--workers") as refused:
+    def test_max_runs_is_not_split_across_workers(self, tmp_path):
+        """A budgeted sweep runs unsharded in one process, so
+        ``--max-runs 100`` stops at 100 runs at two workers too (per-shard
+        budgets once ran 200)."""
+        artifact_path = tmp_path / "explore.json"
+        code = _run(
+            "explore", "--workload", "exchanger2", "--quiet",
+            "--max-runs", "100", "--workers", "2",
+            "--json", str(artifact_path),
+        )
+        assert code == 1
+        artifact = json.loads(artifact_path.read_text())
+        assert artifact["verdict"] == "UNKNOWN"
+        assert artifact["tallies"]["runs"] == 100
+        assert artifact["tallies"]["budget_tripped"] is True
+
+    def test_max_runs_refuses_a_store(self, tmp_path):
+        with pytest.raises(SystemExit, match="--store") as refused:
             _run(
                 "explore", "--workload", "exchanger2", "--quiet",
-                "--max-runs", "100", "--workers", "2",
+                "--max-runs", "100", "--store", str(tmp_path / "c.db"),
             )
         assert "\n" not in refused.value.code
+
+    def test_sleep_set_is_a_deprecated_synonym_of_dpor(self, tmp_path, capsys):
+        artifacts = {}
+        for reduction in ("sleep-set", "dpor"):
+            path = str(tmp_path / f"{reduction}.json")
+            code = _run(
+                "verify", "--workload", "exchanger2", "--quiet",
+                "--reduction", reduction, "--json", path,
+            )
+            assert code == 0
+            artifacts[reduction] = _strip_clock(path)
+            deprecated = "sleep-set is deprecated" in capsys.readouterr().err
+            assert deprecated == (reduction == "sleep-set")
+        assert artifacts["sleep-set"] == artifacts["dpor"]
 
     @pytest.mark.parametrize(
         "argv",

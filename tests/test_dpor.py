@@ -2,20 +2,20 @@
 
 An aggressive pruner is exactly the kind of change that silently loses
 counterexamples, so ``reduction="dpor"`` is held to *observational
-identity* with both the unreduced enumeration and the sleep-set engine:
-identical outcome sets, identical verdicts, and identical first
-counterexamples, on six curated workloads spanning the CLI families
-(CAL and linearizability, SC and TSO, passing and failing) plus fifty
-generated random programs (with and without fault plans), sequentially,
-sharded across workers, and through the durable drivers.
+identity* with the unreduced enumeration: identical outcome sets,
+identical verdicts, and identical first counterexamples, on six curated
+workloads spanning the CLI families (CAL and linearizability, SC and
+TSO, passing and failing) plus fifty generated random programs (with
+and without fault plans), sequentially, sharded across workers, and
+through the durable drivers.
 
 Schedule counts are pinned per workload: a change to the race analysis
 or the wakeup-tree bookkeeping that alters pruning shows up as a count
-diff even while equivalence still holds.  DPOR must never visit more
-schedules than the sleep-set engine on any pinned workload — and under
-TSO it visits strictly fewer, because sleep sets only skip the first
-step of an explored sibling while wakeup trees never generate the
-redundant suffix at all.
+diff even while equivalence still holds.  DPOR replaced the sleep-set
+engine, and must never visit more schedules than that engine did: its
+counts are pinned next to DPOR's.  Under TSO DPOR visits strictly fewer,
+because sleep sets only skip the first step of an explored sibling while
+wakeup trees never generate the redundant suffix at all.
 """
 
 from __future__ import annotations
@@ -29,13 +29,14 @@ from repro.checkers.parallel import explore_parallel
 from repro.checkers.verify import verify_cal, verify_linearizability
 from repro.obs.provenance import ExplorationLedger
 from repro.obs.tracing import TraceSink
-from repro.specs import ExchangerSpec, StackSpec
+from repro.specs import ExchangerSpec, RegisterSpec, StackSpec
 from repro.store import (
     STATUS_INTERRUPTED,
     CampaignStore,
     durable_explore,
     durable_verify,
 )
+from repro.substrate import Program, World
 from repro.substrate.explore import (
     REDUCTIONS,
     explore_all,
@@ -48,10 +49,23 @@ from repro.workloads.programs import (
     dual_stack_program,
     exchanger_program,
     manual_treiber_program,
+    register_program,
 )
 from repro.workloads.randomprog import random_program
+from tests.test_parallel import Broken
 from tests.test_rendezvous import rv_setup
-from tests.test_sleepset import broken2_setup
+
+
+def broken2_setup(scheduler):
+    """Two threads on the never-CAL exchanger (ghost-partner swaps)."""
+    world = World()
+    exchanger = Broken(world, "E")
+    program = Program(world)
+    for index, value in enumerate([1, 2]):
+        program.thread(
+            f"t{index}", lambda ctx, v=value: exchanger.exchange(ctx, v)
+        )
+    return program.runtime(scheduler)
 
 
 def _small_treiber(memory_model):
@@ -66,7 +80,9 @@ def _small_treiber(memory_model):
 
 #: The six conformance workloads: (name, setup factory, max_steps,
 #: unreduced count, sleep-set count, dpor count).  Counts are the
-#: pruning contract; outcome identity is asserted alongside.
+#: pruning contract; outcome identity is asserted alongside.  The
+#: sleep-set counts are those of the retired sleep-set engine, the
+#: bound DPOR must stay under.
 WORKLOADS = [
     ("exchanger2", lambda: exchanger_program([3, 4]), 200, 4622, 58, 58),
     (
@@ -124,18 +140,13 @@ class TestPinnedConformance:
     ):
         setup = factory()
         full = list(explore_all(setup, max_steps=max_steps))
-        sleep = list(
-            explore_all(setup, max_steps=max_steps, reduction="sleep-set")
-        )
         dpor = list(
             explore_all(setup, max_steps=max_steps, reduction="dpor")
         )
         assert len(full) == full_count
-        assert len(sleep) == sleep_count
-        assert len(dpor) == dpor_count
-        assert len(dpor) <= len(sleep)
+        assert len(dpor) == dpor_count <= sleep_count
         assert _signature(dpor) == _signature(full)
-        assert _signature(dpor) == _signature(sleep)
+        assert all(run.completed for run in dpor)
 
     def test_dpor_skips_the_enumerate_then_skip_cost(self):
         """Fully independent threads collapse to ONE schedule with zero
@@ -163,6 +174,10 @@ class TestPinnedConformance:
         assert len(runs) == 1
 
 
+#: The two exploration engines; ``"sleep-set"`` is a synonym of dpor.
+ENGINES = ("none", "dpor")
+
+
 class TestVerifyDifferential:
     def test_cal_fail_same_first_counterexample(self):
         reports = {
@@ -172,15 +187,16 @@ class TestVerifyDifferential:
                 max_steps=200,
                 reduction=red,
             )
-            for red in REDUCTIONS
+            for red in ENGINES
         }
         verdicts = {red: r.verdict.name for red, r in reports.items()}
-        assert verdicts == {red: "FAIL" for red in REDUCTIONS}
+        assert verdicts == {red: "FAIL" for red in ENGINES}
         first = {red: _first_failure(r) for red, r in reports.items()}
-        assert first["dpor"] == first["none"] == first["sleep-set"]
+        assert first["dpor"] == first["none"]
 
     def test_cal_pass_all_engines(self):
-        for red in REDUCTIONS:
+        runs = {}
+        for red in ENGINES:
             report = verify_cal(
                 exchanger_program([3, 4]),
                 ExchangerSpec("E"),
@@ -189,11 +205,13 @@ class TestVerifyDifferential:
                 reduction=red,
             )
             assert report.verdict.name == "OK", red
+            runs[red] = report.runs
+        assert runs["dpor"] < runs["none"]
 
     @pytest.mark.parametrize("memory_model", ["sc", "tso"])
     def test_linearizability_pass_all_engines(self, memory_model):
         setup = _small_treiber(memory_model)
-        for red in REDUCTIONS:
+        for red in ENGINES:
             report = verify_linearizability(
                 setup,
                 StackSpec("S", initial=(1,)),
@@ -202,6 +220,56 @@ class TestVerifyDifferential:
                 reduction=red,
             )
             assert report.verdict.name == "OK", (memory_model, red)
+
+    def test_register_linearizability_verdict_identical(self):
+        setup = register_program([1], readers=1)
+        spec = RegisterSpec("R", initial_value=0)
+        full = verify_linearizability(setup, spec, max_steps=100)
+        reduced = verify_linearizability(
+            setup, spec, max_steps=100, reduction="dpor"
+        )
+        assert reduced.verdict == full.verdict
+        assert len(reduced.failures) == len(full.failures)
+        assert reduced.runs < full.runs
+
+
+#: Schedules the retired sleep-set engine visited on each program of the
+#: random sweep, by (memory model, with faults), seeds 0-49 in order.
+#: Printed with ``reduction="sleep-set"`` at fbfb47c, the last commit
+#: with that engine; DPOR must never visit more.
+SLEEP_SET_COUNTS = {
+    ("sc", False): (
+        1, 12, 3, 12, 1, 4, 48, 10, 2, 8, 16, 8, 4, 1, 6, 1, 8, 2, 4,
+        30, 8, 4, 4, 3, 12, 3, 12, 3, 2, 4, 12, 3, 2, 24, 6, 6, 3, 30,
+        6, 6, 4, 3, 30, 4, 3, 8, 1, 8, 3, 9,
+    ),
+    ("sc", True): (
+        4, 5, 6, 10, 4, 24, 192, 5, 5, 10, 48, 5, 5, 4, 10, 4, 10, 24,
+        5, 34, 48, 10, 8, 4, 72, 4, 24, 16, 4, 52, 109, 4, 8, 64, 24,
+        56, 4, 109, 24, 5, 12, 6, 109, 16, 6, 10, 4, 10, 32, 5,
+    ),
+    ("tso", False): (
+        4, 4, 9, 4, 11, 1, 4, 6, 2, 4, 2, 8, 2, 1, 6, 12, 2, 2, 8, 2, 2,
+        2, 6, 3, 4, 4, 6, 1, 2, 2, 2, 6, 3, 2, 1, 6, 12, 6, 1, 2, 3, 8,
+        6, 2, 9, 12, 12, 1, 1, 3,
+    ),
+    ("tso", True): (
+        8, 8, 16, 8, 27, 15, 60, 15, 8, 12, 30, 32, 4, 4, 12, 28, 8, 28,
+        16, 22, 15, 4, 15, 7, 22, 7, 22, 9, 4, 15, 15, 12, 13, 9, 9, 22,
+        28, 68, 15, 4, 7, 24, 38, 12, 16, 8, 22, 6, 9, 8,
+    ),
+}
+
+#: The programs where DPOR once scheduled a sleeping agent at the head of
+#: a planned wakeup: (seed, with faults, dpor count), all under SC.  The
+#: counts equal the sleep-set engine's; waking the sleeper gave 30, 8, 28
+#: and 108 schedules.
+SLEEPER_OVERRIDE_PROGRAMS = [
+    (74, False, 24),
+    (193, False, 6),
+    (240, False, 24),
+    (240, True, 104),
+]
 
 
 class TestRandomProgramConformance:
@@ -222,20 +290,34 @@ class TestRandomProgramConformance:
                     memory_model=memory_model,
                     with_faults=with_faults,
                 )
-                signatures = {}
-                counts = {}
-                for red in REDUCTIONS:
-                    runs = list(
+                full, dpor = (
+                    list(
                         explore_all(
                             program.setup, max_steps=200, reduction=red
                         )
                     )
-                    signatures[red] = _signature(runs)
-                    counts[red] = len(runs)
+                    for red in ENGINES
+                )
                 context = program.describe()
-                assert signatures["sleep-set"] == signatures["none"], context
-                assert signatures["dpor"] == signatures["none"], context
-                assert counts["dpor"] <= counts["sleep-set"], context
+                assert _signature(dpor) == _signature(full), context
+                bound = SLEEP_SET_COUNTS[memory_model, with_faults][seed]
+                assert len(dpor) <= bound, context
+
+    @pytest.mark.parametrize(
+        "seed, with_faults, count",
+        SLEEPER_OVERRIDE_PROGRAMS,
+        ids=["74", "193", "240", "240-faults"],
+    )
+    def test_planned_wakeups_never_wake_a_sleeper(
+        self, seed, with_faults, count
+    ):
+        program = random_program(seed, with_faults=with_faults)
+        full = list(explore_all(program.setup, max_steps=200))
+        dpor = list(
+            explore_all(program.setup, max_steps=200, reduction="dpor")
+        )
+        assert len(dpor) == count, program.describe()
+        assert _signature(dpor) == _signature(full), program.describe()
 
 
 class TestParallelConformance:
@@ -276,6 +358,19 @@ def store(tmp_path):
 
 
 class TestDurableConformance:
+    def test_durable_explore_honours_a_sleep_set_config(self, store):
+        """Stored configs that name the retired sleep-set engine run
+        dpor."""
+        results = durable_explore(
+            store,
+            "sleepset-test",
+            "exchanger2",
+            "cal",
+            exchanger_program([3, 4]),
+            {"max_steps": 200, "reduction": "sleep-set"},
+        )
+        assert len(results) == 58
+
     def test_durable_explore_matches_sequential_dpor(self, store):
         setup = exchanger_program([3, 4])
         sequential = list(
@@ -475,17 +570,15 @@ E22_QUICK = [
 IDENTITY_SEEDS = range(60)
 
 
-def _sweep_records(
-    setup, max_steps, reduction, pin_prefix=(), sleep_seed=None
-):
-    """One record per executed run, then the ledger snapshot."""
+def _sweep_records(setup, max_steps, pin_prefix=(), sleep_seed=None):
+    """One record per executed dpor run, then the ledger snapshot."""
     ledger = ExplorationLedger()
     for run in explore_all(
         setup,
         max_steps=max_steps,
         include_incomplete=True,
         pin_prefix=pin_prefix,
-        reduction=reduction,
+        reduction="dpor",
         sleep_seed=sleep_seed,
         provenance=ledger,
     ):
@@ -499,55 +592,53 @@ def _first_decision_arity(setup, max_steps):
     return scheduler.log[0][0] if scheduler.log else 0
 
 
-def _e22_case(factory, max_steps, reduction, sharded):
+def _e22_case(factory, max_steps, sharded):
     def records():
         setup = factory()
         if not sharded:
-            yield from _sweep_records(setup, max_steps, reduction)
+            yield from _sweep_records(setup, max_steps)
             return
         arity = _first_decision_arity(setup, max_steps)
         for pin, seed in enumerate(shard_sleep_seeds(setup, arity)):
             yield ("shard", pin)
             yield from _sweep_records(
-                setup, max_steps, reduction, pin_prefix=[pin], sleep_seed=seed
+                setup, max_steps, pin_prefix=[pin], sleep_seed=seed
             )
 
     return records
 
 
-def _random_case(memory_model, with_faults, reduction):
+def _random_case(memory_model, with_faults):
     def records():
         for seed in IDENTITY_SEEDS:
             program = random_program(
                 seed, memory_model=memory_model, with_faults=with_faults
             )
             yield ("seed", seed)
-            yield from _sweep_records(program.setup, 200, reduction)
+            yield from _sweep_records(program.setup, 200)
 
     return records
 
 
 IDENTITY_CASES = {
     **{
-        f"e22-{name}-{reduction}{'-sharded' if sharded else ''}": _e22_case(
-            factory, max_steps, reduction, sharded
+        f"e22-{name}-dpor{'-sharded' if sharded else ''}": _e22_case(
+            factory, max_steps, sharded
         )
         for name, factory, max_steps in E22_QUICK
-        for reduction in ("sleep-set", "dpor")
         for sharded in (False, True)
     },
     **{
-        f"random-{memory_model}-{faults}-{reduction}": _random_case(
-            memory_model, faults == "faults", reduction
+        f"random-{memory_model}-{faults}-dpor": _random_case(
+            memory_model, faults == "faults"
         )
         for memory_model in ("sc", "tso")
         for faults in ("clean", "faults")
-        for reduction in ("sleep-set", "dpor")
     },
 }
 
 #: Digests computed before the sleep-set engine became a subclass of
-#: the DPOR engine.
+#: the DPOR engine; neither that nor its retirement moved them.
 IDENTITY_PINNED = {
     "e22-dual-stack-dpor": (
         69,
@@ -557,14 +648,6 @@ IDENTITY_PINNED = {
         72,
         "880551ca94d4ba2401086bb2eac4fe33efec3f02f93499726c0e0a1988fbf08b",
     ),
-    "e22-dual-stack-sleep-set": (
-        69,
-        "308888bb3481247ba2a242ca77f2ae11578c61580eb0ac03f772244bcc9dbf42",
-    ),
-    "e22-dual-stack-sleep-set-sharded": (
-        72,
-        "2f7d97084dad9d26e5fda4eb5586aa65822ae58ed8f2150e7ffdbf1cea236bff",
-    ),
     "e22-exchanger2-dpor": (
         59,
         "b9de55b7613e4dca91a7f0d92aecfacfaa7ef1b013d74b2536165f841caa333e",
@@ -572,14 +655,6 @@ IDENTITY_PINNED = {
     "e22-exchanger2-dpor-sharded": (
         62,
         "2ea950e4e808f8a33a08424273029b26248efa5fd105eb7477c3b6e2b734d32c",
-    ),
-    "e22-exchanger2-sleep-set": (
-        59,
-        "40ff9980d08024ef3abdefab490160bf7126ba97dcac5cb3572d5f52562f37e1",
-    ),
-    "e22-exchanger2-sleep-set-sharded": (
-        62,
-        "ad8a6911fcae2d013c34b57964cf85b20de81ed3e340ba6ec52697034002577d",
     ),
     "e22-treiber-gc-sc-dpor": (
         147,
@@ -589,14 +664,6 @@ IDENTITY_PINNED = {
         150,
         "fedd6edc124811ba5c7d737c04516cfe77d390d36929aa530710d33e17e6ac59",
     ),
-    "e22-treiber-gc-sc-sleep-set": (
-        147,
-        "28f8fa56b6d63cb0ab6f032efd11b9c7fbca111fac695940b3a248665319d061",
-    ),
-    "e22-treiber-gc-sc-sleep-set-sharded": (
-        150,
-        "aaf7b78647e95eceb0c75d95a233042bdebc172150a277a3c5709dee1273dc11",
-    ),
     "e22-treiber-gc-tso-dpor": (
         147,
         "a3902d8d0d0632918f4266f66ae3f4a892b86c68b993d8b5370c8869f18c9f8b",
@@ -605,45 +672,21 @@ IDENTITY_PINNED = {
         150,
         "fedd6edc124811ba5c7d737c04516cfe77d390d36929aa530710d33e17e6ac59",
     ),
-    "e22-treiber-gc-tso-sleep-set": (
-        293,
-        "2e01de6c381f595c690622273c51ac8734c1f263fe167e5326b05b457dbecfa1",
-    ),
-    "e22-treiber-gc-tso-sleep-set-sharded": (
-        296,
-        "c066621dbe605852b372fc60bf6738f7b91008d7ec26e797748a53764471ee06",
-    ),
     "random-sc-clean-dpor": (
         587,
         "c3a2ecb00e04468a8e4364970844a1be3798c718fdeba206e57b9d80e84e14f3",
-    ),
-    "random-sc-clean-sleep-set": (
-        587,
-        "49a139141641e5a807799198024478778d3374c8e0d1395b8957a1c1fdd97d55",
     ),
     "random-sc-faults-dpor": (
         1542,
         "3c33ca118aa6d98549bbe58ae982a7c619a8bedf1daebc857650fc642a7e34eb",
     ),
-    "random-sc-faults-sleep-set": (
-        1542,
-        "f1f2ad9bc64e9bc2d37c456c44c0a6a24ade978ba53e483636c489e5c5fadd44",
-    ),
     "random-tso-clean-dpor": (
         357,
         "2a5be0093bcd42386778802f28a03730b20a3371655f66269c4197379258b824",
     ),
-    "random-tso-clean-sleep-set": (
-        370,
-        "9ccc67e4162d59cd34bb1efb187de5653fc5f5938dddaf0568631d86b7bf4a2a",
-    ),
     "random-tso-faults-dpor": (
         1051,
         "89f68dc2493f0ed2405958f555615fb32e8a34825e7716ac8365b317e9873d40",
-    ),
-    "random-tso-faults-sleep-set": (
-        1053,
-        "a5dd4e3a9188e2009d8113531cd0981e28d1f53625b196211784f797c7efb3a2",
     ),
 }
 
@@ -660,7 +703,7 @@ def identity_digest(name):
 
 
 class TestEngineIdentity:
-    """Golden digests of both reduced engines: every run's schedule and
+    """Golden digests of the reduced engine: every run's schedule and
     ``completed`` flag, plus the provenance ledger, on the E22 quick
     cases (unsharded, and sharded with sleep seeds) and on random
     programs under SC and TSO, with and without faults.  Any change to

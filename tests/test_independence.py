@@ -1,7 +1,8 @@
 """Property tests for the effect-footprint independence relation.
 
-The relation carries both reduction engines (sleep sets and DPOR), so
-its contract is tested directly, independently of any explorer:
+The relation carries the reduction engine (DPOR's races and its sleep
+sets), so its contract is tested directly, independently of any
+explorer:
 
 * **symmetry** — commutation is a property of the pair;
 * **conservatism** — OPAQUE footprints (faults, queries, unknown

@@ -211,27 +211,6 @@ class TestCampaignProfiling:
         )
         assert bucketed == profiler.counters["search.nodes"] > 0
 
-    def test_reduced_engines_profile_the_same_completions(self):
-        """sleep-set and dpor check the same 58 exchanger-2 schedules,
-        so their completion buckets agree exactly."""
-        tallies = {}
-        for reduction in ("sleep-set", "dpor"):
-            profiler = SearchProfiler()
-            verify_cal(
-                exchanger_program([3, 4]),
-                ExchangerSpec("E"),
-                max_steps=200,
-                search=True,
-                metrics=profiler,
-                reduction=reduction,
-            )
-            tallies[reduction] = {
-                name: value
-                for name, value in profiler.counters.items()
-                if name.endswith(".completions")
-            }
-        assert tallies["sleep-set"] == tallies["dpor"]
-
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_parallel_partition_transparency(self, workers):
         sequential = SearchProfiler()

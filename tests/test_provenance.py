@@ -50,6 +50,7 @@ from repro.store import CampaignStore
 from repro.store.campaigns import durable_explore, durable_fuzz
 from repro.substrate.explore import ExploreBudget, explore_all
 from repro.workloads.programs import exchanger_program
+from repro.workloads.randomprog import random_program
 
 
 def _setup():
@@ -250,7 +251,7 @@ def _fingerprint(runs):
 
 
 class TestEngineDifferential:
-    @pytest.mark.parametrize("reduction", ["sleep-set", "dpor"])
+    @pytest.mark.parametrize("reduction", ["dpor"])
     def test_ledger_does_not_change_the_exploration(self, reduction):
         off = list(explore_all(_setup(), max_steps=200, reduction=reduction))
         on = list(
@@ -295,42 +296,41 @@ class TestEngineDifferential:
             assert exemplar["i"] < exemplar["j"]
             assert "clock" in exemplar
 
-    def test_sleep_set_books_count_prunes_as_visits(self):
+    def test_books_count_prunes_as_visits(self):
         ledger = ExplorationLedger()
         budget = ExploreBudget()
         list(
             explore_all(
-                _setup(),
+                random_program(6, memory_model="tso").setup,
                 max_steps=200,
-                reduction="sleep-set",
+                reduction="dpor",
                 provenance=ledger,
                 budget=budget,
             )
         )
         audit = ledger.reconcile(budget.runs)
         assert audit["balanced"], audit
-        assert audit["visited"] == 186  # 58 executed + 128 pruned
-        assert audit["pruned"] == 128
-        assert ledger.prune_causes() == {"sleep_set": 128}
+        assert audit["visited"] == 8  # 4 executed + 4 pruned
+        assert audit["pruned"] == 4
+        assert ledger.prune_causes() == {"sleep_set": 4}
 
     @pytest.mark.parametrize("max_runs", [1, 7, 50])
     def test_budget_cuts_leave_the_books_balanced(self, max_runs):
-        for reduction in ("sleep-set", "dpor"):
-            ledger = ExplorationLedger()
-            budget = ExploreBudget(max_runs=max_runs)
-            list(
-                explore_all(
-                    _setup(),
-                    max_steps=200,
-                    reduction=reduction,
-                    provenance=ledger,
-                    budget=budget,
-                )
+        ledger = ExplorationLedger()
+        budget = ExploreBudget(max_runs=max_runs)
+        list(
+            explore_all(
+                _setup(),
+                max_steps=200,
+                reduction="dpor",
+                provenance=ledger,
+                budget=budget,
             )
-            audit = ledger.reconcile(budget.runs)
-            assert audit["balanced"], (reduction, max_runs, audit)
+        )
+        audit = ledger.reconcile(budget.runs)
+        assert audit["balanced"], (max_runs, audit)
 
-    @pytest.mark.parametrize("reduction", ["sleep-set", "dpor"])
+    @pytest.mark.parametrize("reduction", ["dpor"])
     def test_sharded_explore_reconciles_with_one_root_per_shard(
         self, reduction
     ):

@@ -204,7 +204,6 @@ CASES: Dict[str, Callable[[], Iterator[Tuple]]] = {
     "exchanger2-none-step-budget": lambda: _swept(
         budget=ExploreBudget(step_budget=20_000)
     ),
-    "exchanger2-sleep-set-progress": lambda: _swept("sleep-set"),
     "exchanger2-dpor-run-budget": lambda: _swept(
         "dpor", budget=ExploreBudget(max_runs=40)
     ),
@@ -253,10 +252,6 @@ PINNED = {
     "exchanger2-none-step-cut": (
         4669,
         "0a26185cbf6923b68d0f623f38c7f35240430b884c020308cf9d758340f0adc6",
-    ),
-    "exchanger2-sleep-set-progress": (
-        59,
-        "4220d61973ce61eb09485337fa65fe9e3a46443fab57d1496c610ee1ea8326a6",
     ),
     "msqueue-reclaim": (
         300,
