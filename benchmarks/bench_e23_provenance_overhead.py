@@ -17,7 +17,9 @@ Reported numbers:
   enabled-to-disabled wall-clock ratio (total on-time over total
   off-time across all sweeps) minus 1, so 0.04 means recording costs
   4%.  Aggregate rather than a per-sweep median: the shortest sweeps
-  are ~10ms and their individual ratios are timer jitter.
+  are ~10ms and their individual ratios are timer jitter.  For the same
+  reason the off/on sweeps are repeated, interleaved, until the
+  ledger-off sweeps add up to :data:`MIN_OFF_S` seconds.
 
 Runs two ways:
 
@@ -49,10 +51,12 @@ except ImportError:  # standalone: python benchmarks/bench_e23_provenance_overhe
 #: handful of dict increments per schedule).
 OVERHEAD_BAR = 0.10
 
-#: Off/on sweeps are timed interleaved this many times and the minimum
-#: of each kept, so the ratio measures the recording cost rather than
-#: scheduler jitter (the sweeps are tens of milliseconds).
+#: Off/on sweeps are timed interleaved, in rounds over every workload,
+#: for at least this many rounds and until the ledger-off sweeps add up
+#: to at least MIN_OFF_S seconds, so the ratio measures the recording
+#: cost rather than host noise: one quick round sweeps for about 0.1 s.
 REPEATS = 5
+MIN_OFF_S = 1.0
 
 
 def _fingerprint(runs):
@@ -78,21 +82,27 @@ def _timed_sweep(setup, max_steps: int, ledger):
 
 
 def run_all(quick: bool) -> Dict:
-    workloads: Dict[str, Dict] = {}
-    total_off = total_on = 0.0
-    for name, factory, max_steps, in_quick in CASES:
-        if quick and not in_quick:
-            continue
-        setup = factory()
-        off_s = on_s = None
-        off_runs = on_runs = ledger = None
-        for _ in range(REPEATS):
+    cases = [
+        (name, factory(), max_steps)
+        for name, factory, max_steps, in_quick in CASES
+        if in_quick or not quick
+    ]
+    off_s = {name: 0.0 for name, _, _ in cases}
+    on_s = dict(off_s)
+    swept: Dict[str, tuple] = {}
+    rounds = 0
+    while rounds < REPEATS or sum(off_s.values()) < MIN_OFF_S:
+        rounds += 1
+        for name, setup, max_steps in cases:
             off_runs, elapsed = _timed_sweep(setup, max_steps, None)
-            off_s = elapsed if off_s is None else min(off_s, elapsed)
+            off_s[name] += elapsed
             ledger = ExplorationLedger()
             on_runs, elapsed = _timed_sweep(setup, max_steps, ledger)
-            on_s = elapsed if on_s is None else min(on_s, elapsed)
+            on_s[name] += elapsed
+            swept[name] = off_runs, on_runs, ledger
 
+    workloads: Dict[str, Dict] = {}
+    for name, (off_runs, on_runs, ledger) in swept.items():
         assert _fingerprint(on_runs) == _fingerprint(off_runs), (
             f"{name}: the ledger changed the exploration"
         )
@@ -107,25 +117,25 @@ def run_all(quick: bool) -> Dict:
             f"{name}: completed {audit['completed']} != "
             f"{len(on_runs)} results"
         )
-        total_off += off_s
-        total_on += on_s
-        ratio = on_s / off_s if off_s else 1.0
+        ratio = on_s[name] / off_s[name] if off_s[name] else 1.0
         workloads[name] = {
             "dpor": {
                 "schedules": len(on_runs),
                 "pruned": audit["pruned"],
-                "off_s": round(off_s, 4),
-                "on_s": round(on_s, 4),
+                "off_s": round(off_s[name], 4),
+                "on_s": round(on_s[name], 4),
                 "ratio": round(ratio, 3),
                 "balanced": audit["balanced"],
             }
         }
     # Aggregate, not per-sweep median: weighting by wall-clock keeps
     # the headline stable when the shortest sweeps (~10ms) jitter.
+    total_off, total_on = sum(off_s.values()), sum(on_s.values())
     overhead = total_on / total_off - 1.0 if total_off else 0.0
     return {
         "experiment": "E23",
         "overhead_bar": OVERHEAD_BAR,
+        "rounds": rounds,
         "workloads": workloads,
         "provenance_overhead": round(overhead, 4),
     }
@@ -169,8 +179,8 @@ def main(argv=None) -> int:
             )
     print(
         f"\nprovenance overhead {summary['provenance_overhead']:+.1%} "
-        f"(bar {OVERHEAD_BAR:.0%}); every sweep balanced and "
-        f"byte-identical to the ledger-off path"
+        f"(bar {OVERHEAD_BAR:.0%}) over {summary['rounds']} rounds; every "
+        f"sweep balanced and byte-identical to the ledger-off path"
     )
 
     if args.json:

@@ -752,7 +752,6 @@ def _sweep(
 def explore_parallel(
     setup: SetupFn,
     max_steps: Optional[int] = None,
-    include_incomplete: bool = False,
     preemption_bound: Optional[int] = None,
     budget: Optional[ExploreBudget] = None,
     workers: Optional[int] = None,
@@ -812,7 +811,6 @@ def explore_parallel(
         results = list(
             explore_all(
                 setup, max_steps=max_steps, budget=visited,
-                include_incomplete=include_incomplete,
                 preemption_bound=preemption_bound, pin_prefix=pin,
                 trace=sink, progress_every=progress_every,
                 reduction=reduction, sleep_seed=sleep_seed,

@@ -78,10 +78,10 @@ def _merge_snapshots(cls, mine, theirs):
 def _fold_back(report, metrics=None, coverage=None, provenance=None):
     """Merge a merged report's snapshots into the caller's instruments.
 
-    The coverage and provenance snapshots are then re-taken from the
-    caller's instruments, so ``report.coverage``/``report.provenance``
-    reflect the caller's whole tracker and ledger — the contract of the
-    sequential drivers.  Returns ``report``.
+    As in the sequential drivers, ``report.stats`` and
+    ``report.provenance`` stay the campaign's own, while
+    ``report.coverage`` is re-taken from the caller's tracker and so
+    reflects all of it.  Returns ``report``.
     """
     if metrics is not None and report.stats is not None:
         metrics.merge(Metrics.from_snapshot(report.stats))
@@ -90,7 +90,6 @@ def _fold_back(report, metrics=None, coverage=None, provenance=None):
         report.coverage = coverage.snapshot()
     if provenance is not None and report.provenance is not None:
         provenance.merge(ExplorationLedger.from_snapshot(report.provenance))
-        report.provenance = provenance.snapshot()
     return report
 
 
@@ -299,10 +298,12 @@ def verify_cal(
     driver falls back to witness validation for that run (if not already
     performed) and counts the run ``unknown`` — degraded but never hung.
 
-    The remaining keywords (``max_steps``, ``limit``,
-    ``preemption_bound``, ``budget``, ``node_budget``, ``deadline`` and
-    the campaign keywords below) are shared with
-    :func:`verify_linearizability`.
+    The remaining keywords (``max_steps``, ``preemption_bound``,
+    ``budget``, ``node_budget``, ``deadline`` and the campaign keywords
+    below) are shared with :func:`verify_linearizability`.  Runs cut at
+    ``max_steps`` are counted ``incomplete`` and observed by the
+    instruments, but not checked.  ``budget`` is the one way to stop the
+    sweep early, and a cut sweep's verdict is ``UNKNOWN``.
 
     ``metrics``/``trace`` (see :mod:`repro.obs`) observe the driver; the
     driver's counters land in ``report.stats`` and are merged into the
@@ -366,7 +367,6 @@ def _verify(
     setup: SetupFn,
     *,
     max_steps: Optional[int] = None,
-    limit: Optional[int] = None,
     preemption_bound: Optional[int] = None,
     budget: Optional[ExploreBudget] = None,
     node_budget: Optional[int] = None,
@@ -397,7 +397,7 @@ def _verify(
     for run in explore_all(
         setup,
         max_steps=max_steps,
-        limit=limit,
+        include_incomplete=True,
         preemption_bound=preemption_bound,
         budget=budget,
         pin_prefix=pin_prefix,

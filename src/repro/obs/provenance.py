@@ -39,9 +39,8 @@ Counter reference (all plain ``counters`` entries):
   one schedule (1 sequentially; one per shard when sharded);
 * ``schedule.race_reversal`` — backtracks into a queued wakeup sequence;
 * ``schedule.sibling_advance`` — backtracks into the next awake sibling,
-  booked only by the sleep-set engine that ``reduction="sleep-set"``
-  named before it became a synonym of ``"dpor"``; still summed so the
-  ledgers that engine stored keep balancing;
+  booked only by the retired ``reduction="sleep-set"`` engine; still
+  summed so the ledgers that engine stored keep balancing;
 * ``schedule.value_flip`` — backtracks that advanced a ``Choose`` node;
 * ``race.immediate`` / ``race.pinned`` — immediate races analysed /
   races whose earlier step ran under a pinned (shard) decision;

@@ -287,8 +287,7 @@ def durable_explore(
     first decision point and commits each shard's sanitised results as
     a chunk, in pin order.  Budgets are unsupported here because a cut
     shard has no stable boundary to resume from.  ``config`` pins
-    ``max_steps`` and optionally ``reduction`` (``"none"`` |
-    ``"dpor"``; ``"sleep-set"`` is a deprecated synonym of ``"dpor"``).
+    ``max_steps`` and optionally ``reduction`` (``"none"`` | ``"dpor"``).
     """
     results = _campaign(
         store, campaign_id, "explore", workload, checker, config, workers,

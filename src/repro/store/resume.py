@@ -24,6 +24,7 @@ from repro.store.schema import (
     CampaignStore,
     StoreError,
 )
+from repro.substrate.explore import REDUCTIONS
 
 
 @dataclass
@@ -60,16 +61,24 @@ class ResumePlan:
 def plan_resume(store: CampaignStore, campaign_id: str) -> ResumePlan:
     """Load the resume state of ``campaign_id`` from ``store``.
 
-    Raises :class:`~repro.store.schema.StoreError` for an unknown id.
-    Resuming a ``complete`` campaign is legal — every chunk is already
-    ``done``, so the runner skips straight to the merge and reproduces
-    the original artifact (a cheap way to regenerate lost output files).
+    Raises :class:`~repro.store.schema.StoreError` for an unknown id,
+    and for a campaign whose config names a retired reduction (such as
+    ``"sleep-set"``), whose row it leaves as it is.  Resuming a
+    ``complete`` campaign is legal — every chunk is already ``done``, so
+    the runner skips straight to the merge and reproduces the original
+    artifact (a cheap way to regenerate lost output files).
     """
     campaign = store.get_campaign(campaign_id)
     if campaign is None:
         known = ", ".join(c["id"] for c in store.list_campaigns()) or "<none>"
         raise StoreError(
             f"no campaign {campaign_id!r} in {store.path!r} (known: {known})"
+        )
+    reduction = campaign["config"].get("reduction", "none")
+    if reduction not in REDUCTIONS:
+        raise StoreError(
+            f"campaign {campaign_id} uses the retired reduction "
+            f"{reduction!r}; start a new campaign with --reduction dpor"
         )
     return ResumePlan(
         campaign=campaign,

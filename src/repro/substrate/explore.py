@@ -44,9 +44,7 @@ from repro.substrate.schedulers import (
 SetupFn = Callable[[Scheduler], Runtime]
 
 #: Partial-order-reduction modes accepted by :func:`explore_all`.
-#: ``"sleep-set"`` is a deprecated synonym of ``"dpor"``, kept so stored
-#: campaign configs that name it still run (and keep their ids).
-REDUCTIONS = ("none", "sleep-set", "dpor")
+REDUCTIONS = ("none", "dpor")
 
 
 def validate_exploration(
@@ -276,7 +274,6 @@ def _explore(
     setup: SetupFn,
     max_steps: Optional[int],
     include_incomplete: bool,
-    limit: Optional[int],
     budget: Optional[ExploreBudget],
     trace,
     progress_every: int,
@@ -357,8 +354,6 @@ def _explore(
         if result is not None and (result.completed or include_incomplete):
             yield result
             produced += 1
-            if limit is not None and produced >= limit:
-                return
         if not explorer.backtrack():
             return
 
@@ -367,7 +362,6 @@ def explore_all(
     setup: SetupFn,
     max_steps: Optional[int] = None,
     include_incomplete: bool = False,
-    limit: Optional[int] = None,
     preemption_bound: Optional[int] = None,
     budget: Optional[ExploreBudget] = None,
     pin_prefix: Sequence[int] = (),
@@ -384,14 +378,16 @@ def explore_all(
     are skipped unless ``include_incomplete`` is set; their prefixes are
     still backtracked, so the search space stays complete up to the bound.
 
-    ``limit`` caps the number of *yielded* results (safety valve for
-    benchmarks).  ``preemption_bound`` switches to CHESS-style context-
-    bounded exploration (see
-    :class:`~repro.substrate.schedulers.ReplayScheduler`) — essential for
-    programs with retry loops, whose unbounded schedule spaces are
-    factorial.  ``budget`` bounds the whole sweep (runs / total steps /
-    deadline); when it trips, enumeration stops and ``budget.tripped``
-    records why — the graceful-degradation path for state-space blowups.
+    ``preemption_bound`` switches to CHESS-style context-bounded
+    exploration (see :class:`~repro.substrate.schedulers.ReplayScheduler`)
+    — essential for programs with retry loops, whose unbounded schedule
+    spaces are factorial.  ``budget`` bounds the whole sweep (runs /
+    total steps / deadline) and is the one way to stop it early; when it
+    trips, enumeration stops and ``budget.tripped`` records why — the
+    graceful-degradation path for state-space blowups.  A caller that
+    only wants the first few results takes them with
+    :func:`itertools.islice`: the generator does no work past the last
+    result taken.
 
     ``pin_prefix`` confines enumeration to the decision subtree under the
     given prefix: the pinned decisions are replayed on every run and
@@ -416,8 +412,7 @@ def explore_all(
     :mod:`repro.substrate.independence` and ``docs/search.md``).  The
     set of complete-run histories — hence verdicts and counterexample
     content — is preserved, while fewer schedules are visited whenever
-    any co-enabled steps commute.  ``"sleep-set"`` is a deprecated
-    synonym of ``"dpor"``.  The reduction is incompatible with
+    any co-enabled steps commute.  The reduction is incompatible with
     ``preemption_bound`` (CHESS bounding changes which continuations
     exist, invalidating the covering argument), and the configuration
     is validated *before* the first run, at call time.
@@ -452,28 +447,9 @@ def explore_all(
         setup,
         max_steps,
         include_incomplete,
-        limit,
         budget,
         trace,
         progress_every,
-    )
-
-
-def count_runs(
-    setup: SetupFn,
-    max_steps: Optional[int] = None,
-    preemption_bound: Optional[int] = None,
-    reduction: str = "none",
-) -> int:
-    """Number of complete runs (exhaustive-exploration size)."""
-    return sum(
-        1
-        for _ in explore_all(
-            setup,
-            max_steps=max_steps,
-            preemption_bound=preemption_bound,
-            reduction=reduction,
-        )
     )
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import json
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -60,13 +61,14 @@ def _specs(family: str):
 def _pool():
     """(family, history, witness or None) inputs with repeated histories."""
     pool = []
-    for run in explore_all(exchanger_program([3, 4]), max_steps=200, limit=40):
+    runs = explore_all(exchanger_program([3, 4]), max_steps=200)
+    for run in islice(runs, 40):
         pool.append(("exchanger", run.history, run.trace.project_object("E")))
     for width in (2, 3, 4, 5):
         pool.append(("exchanger", wide_overlap_history(width), None))
     for seed in (0, 1, 2):
         program = random_program(seed)
-        for run in explore_all(program.setup, max_steps=200, limit=10):
+        for run in islice(explore_all(program.setup, max_steps=200), 10):
             pool.append(("note", run.history, None))
     return tuple(pool)
 

@@ -31,6 +31,7 @@ from repro.checkers.parallel import _fork_context
 from repro.checkers.verify import CheckPolicy
 from repro.cli import WORKLOADS
 from repro.specs import ExchangerSpec, RegisterSpec
+from repro.substrate.explore import ExploreBudget
 from repro.workloads.programs import exchanger_program, register_program
 
 
@@ -93,13 +94,18 @@ class TestSection3DriverParity:
     ):
         workload = WORKLOADS["naive-queue"]
         spec = workload.make_spec()
-        kwargs = dict(max_steps=workload.max_steps, limit=400)
-        lin = verify_linearizability(workload.make_setup(), spec, **kwargs)
+        lin = verify_linearizability(
+            workload.make_setup(),
+            spec,
+            max_steps=workload.max_steps,
+            budget=ExploreBudget(max_runs=400),
+        )
         cal = verify_cal(
             workload.make_setup(),
             SingletonAdapter(spec),
             check_witness=False,
-            **kwargs,
+            max_steps=workload.max_steps,
+            budget=ExploreBudget(max_runs=400),
         )
         assert _verify_outcome(cal) == _verify_outcome(lin)
 

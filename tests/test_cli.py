@@ -28,7 +28,7 @@ from repro.cli import (
 )
 from repro.obs.tracing import read_trace
 from repro.specs import RegisterSpec
-from repro.store import STATUS_INTERRUPTED, CampaignStore
+from repro.store import STATUS_INTERRUPTED, CampaignStore, default_campaign_id
 from repro.workloads.programs import register_program
 from tests.test_supervisor import (
     _kill_always_setup,
@@ -262,19 +262,60 @@ class TestCampaignOptions:
             )
         assert "\n" not in refused.value.code
 
-    def test_sleep_set_is_a_deprecated_synonym_of_dpor(self, tmp_path, capsys):
-        artifacts = {}
-        for reduction in ("sleep-set", "dpor"):
-            path = str(tmp_path / f"{reduction}.json")
-            code = _run(
-                "verify", "--workload", "exchanger2", "--quiet",
-                "--reduction", reduction, "--json", path,
+    @pytest.mark.parametrize(
+        "kind, campaign_id",
+        [
+            ("explore", "explore-exchanger2-42429a172c"),
+            ("verify", "verify-exchanger2-b523267a2a"),
+        ],
+        ids=["explore", "verify"],
+    )
+    def test_resume_refuses_a_sleep_set_campaign(
+        self, tmp_path, capsys, kind, campaign_id
+    ):
+        """A campaign stored with the retired ``--reduction sleep-set``
+        (which ran dpor) is refused on resume in one line, and its row
+        and chunks stay as they were."""
+        path = str(tmp_path / "c.db")
+        code = _run(
+            kind, "--workload", "exchanger2", "--quiet", "--reduction", "dpor",
+            "--store", path, "--abort-after-checkpoints", "1",
+        )
+        assert code == 130
+        config = {"max_steps": WORKLOADS["exchanger2"].max_steps}
+        with CampaignStore(path) as store:
+            assert default_campaign_id(
+                kind, "exchanger2", dict(config, reduction="sleep-set")
+            ) == campaign_id
+            dpor = default_campaign_id(
+                kind, "exchanger2", dict(config, reduction="dpor")
             )
-            assert code == 0
-            artifacts[reduction] = _strip_clock(path)
-            deprecated = "sleep-set is deprecated" in capsys.readouterr().err
-            assert deprecated == (reduction == "sleep-set")
-        assert artifacts["sleep-set"] == artifacts["dpor"]
+            store.create_campaign(
+                campaign_id, kind, "exchanger2", "cal",
+                dict(config, reduction="sleep-set"),
+            )
+            for row in store.chunk_rows(dpor):
+                store.record_chunk(
+                    campaign_id, row["chunk_index"], row["seed_start"],
+                    row["seed_count"], row["status"], row["payload"],
+                )
+            store.set_status(campaign_id, STATUS_INTERRUPTED)
+            stored = (
+                store.get_campaign(campaign_id), store.chunk_rows(campaign_id)
+            )
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as refused:
+            _run("resume", campaign_id, "--store", path, "--quiet")
+        # A string exit code: the process prints it and exits 1.
+        assert refused.value.code == (
+            f"campaign {campaign_id} uses the retired reduction 'sleep-set'; "
+            "start a new campaign with --reduction dpor"
+        )
+        assert capsys.readouterr().err == ""
+        with CampaignStore(path) as store:
+            assert (
+                store.get_campaign(campaign_id), store.chunk_rows(campaign_id)
+            ) == stored
 
     @pytest.mark.parametrize(
         "argv",
@@ -322,6 +363,49 @@ def _strip_clock(path):
         artifact.pop(key, None)
     (artifact.get("stats") or {}).pop("timers", None)
     return json.dumps(artifact, sort_keys=True)
+
+
+@needs_fork
+class TestCutRuns:
+    """Runs cut at ``--max-steps`` are tallied ``incomplete``, so a verify
+    artifact balances against its ledger, and a resumed store-backed
+    sweep tallies them exactly as an inline one.  Only the ledgers
+    differ: a sharded sweep books one root per shard and its races
+    across the pinned first decision, but executes the same schedules."""
+
+    VERIFY = (
+        "verify", "--workload", "exchanger2", "--max-steps", "14",
+        "--reduction", "dpor", "--quiet",
+    )
+
+    def test_inline_store_and_resume_tally_cut_runs(self, tmp_path):
+        inline = str(tmp_path / "inline.json")
+        assert _run(*self.VERIFY, "--json", inline) == 0
+        artifact = json.loads(Path(inline).read_text())
+        tallies = artifact["tallies"]
+        assert (tallies["runs"], tallies["incomplete"]) == (8, 50)
+        assert artifact["provenance"]["counters"]["schedule.executed"] == 58
+        assert _run("report", "--json", inline) == 0
+        store = str(tmp_path / "c.db")
+        code = _run(
+            *self.VERIFY, "--store", store, "--campaign-id", "c1",
+            "--abort-after-checkpoints", "1",
+        )
+        assert code == 130
+        resumed = str(tmp_path / "resumed.json")
+        code = _run(
+            "resume", "c1", "--store", store, "--quiet", "--workers", "2",
+            "--json", resumed,
+        )
+        assert code == 0
+        sharded, unsharded = (
+            json.loads(_strip_clock(path)) for path in (resumed, inline)
+        )
+        ledgers = sharded.pop("provenance"), unsharded.pop("provenance")
+        assert sharded == unsharded
+        for ledger in ledgers:
+            assert ledger["counters"]["schedule.executed"] == 58
+            assert ledger["counters"]["schedule.completed"] == 8
 
 
 @pytest.fixture

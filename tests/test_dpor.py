@@ -31,10 +31,13 @@ from repro.obs.provenance import ExplorationLedger
 from repro.obs.tracing import TraceSink
 from repro.specs import ExchangerSpec, RegisterSpec, StackSpec
 from repro.store import (
+    CHUNK_DONE,
     STATUS_INTERRUPTED,
     CampaignStore,
+    StoreError,
     durable_explore,
     durable_verify,
+    plan_resume,
 )
 from repro.substrate import Program, World
 from repro.substrate.explore import (
@@ -174,7 +177,7 @@ class TestPinnedConformance:
         assert len(runs) == 1
 
 
-#: The two exploration engines; ``"sleep-set"`` is a synonym of dpor.
+#: The two exploration engines.
 ENGINES = ("none", "dpor")
 
 
@@ -325,7 +328,7 @@ class TestParallelConformance:
     reduced sweep *schedule-identical* to the sequential one, not merely
     outcome-equal."""
 
-    @pytest.mark.parametrize("reduction", ["sleep-set", "dpor"])
+    @pytest.mark.parametrize("reduction", ["dpor"])
     def test_sharded_equals_sequential_schedules(self, reduction):
         setup = exchanger_program([3, 4])
         sequential = list(
@@ -358,18 +361,31 @@ def store(tmp_path):
 
 
 class TestDurableConformance:
-    def test_durable_explore_honours_a_sleep_set_config(self, store):
-        """Stored configs that name the retired sleep-set engine run
-        dpor."""
-        results = durable_explore(
-            store,
-            "sleepset-test",
-            "exchanger2",
-            "cal",
-            exchanger_program([3, 4]),
-            {"max_steps": 200, "reduction": "sleep-set"},
-        )
-        assert len(results) == 58
+    def test_durable_explore_refuses_a_sleep_set_config(self, store):
+        """A campaign stored with the retired ``reduction="sleep-set"``
+        (which ran dpor) is refused in one line, by the campaign entry
+        point and by the resume planner, and its row and chunks stay as
+        they were."""
+        setup, config = exchanger_program([3, 4]), {"max_steps": 200}
+        with pytest.raises(KeyboardInterrupt):
+            durable_explore(
+                store, "dpor-cut", "exchanger2", "cal", setup,
+                dict(config, reduction="dpor"), abort_after=1,
+            )
+        retired, cid = dict(config, reduction="sleep-set"), "sleepset-test"
+        store.create_campaign(cid, "explore", "exchanger2", "cal", retired)
+        for index, payload in store.completed_payloads("dpor-cut").items():
+            store.record_chunk(cid, index, index, 1, CHUNK_DONE, payload)
+        store.set_status(cid, STATUS_INTERRUPTED)
+        stored = store.get_campaign(cid), store.chunk_rows(cid)
+        named = "reduction 'sleep-set'"
+        with pytest.raises(ValueError, match=named) as refused:
+            durable_explore(store, cid, "exchanger2", "cal", setup, retired)
+        assert "\n" not in str(refused.value)
+        with pytest.raises(StoreError, match=named) as refused:
+            plan_resume(store, cid)
+        assert "\n" not in str(refused.value)
+        assert (store.get_campaign(cid), store.chunk_rows(cid)) == stored
 
     def test_durable_explore_matches_sequential_dpor(self, store):
         setup = exchanger_program([3, 4])
@@ -447,20 +463,18 @@ class TestValidation:
     emission, or campaign row is created."""
 
     def test_reductions_registry(self):
-        assert REDUCTIONS == ("none", "sleep-set", "dpor")
+        assert REDUCTIONS == ("none", "dpor")
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"reduction": "odd-sets"},
-            {"reduction": "sleep-set", "preemption_bound": 1},
             {"reduction": "dpor", "preemption_bound": 1},
             {"reduction": "dpor", "memory_model": "alpha"},
             {"memory_model": "psox"},
         ],
         ids=[
             "unknown-reduction",
-            "sleep-set+bound",
             "dpor+bound",
             "bad-memory-model",
             "bad-memory-model-unreduced",
@@ -472,7 +486,7 @@ class TestValidation:
         ):
             validate_exploration(**kwargs)
 
-    @pytest.mark.parametrize("reduction", ["sleep-set", "dpor"])
+    @pytest.mark.parametrize("reduction", ["dpor"])
     def test_explore_all_rejects_bound_up_front(self, reduction):
         with pytest.raises(
             ValueError, match="invalid exploration configuration"

@@ -3,6 +3,8 @@ exchanger-based one, third implementation strategy (§6, [11])."""
 
 from __future__ import annotations
 
+from itertools import islice
+
 import pytest
 
 from repro.checkers import CALChecker, fuzz_cal, verify_cal
@@ -48,14 +50,10 @@ class TestHandoff:
         # of checked runs to keep the exhaustive sweep fast.
         checker = CALChecker(SyncQueueSpec("FC"))
         complete = 0
-        for run in explore_all(
-            fc_setup([5, 6], 2),
-            max_steps=400,
-            preemption_bound=2,
-            limit=300,
-        ):
-            if not run.completed:
-                continue
+        runs = explore_all(
+            fc_setup([5, 6], 2), max_steps=400, preemption_bound=2
+        )
+        for run in islice(runs, 300):
             complete += 1
             witness = run.trace.project_object("FC")
             assert checker.check_witness(run.history, witness).ok

@@ -184,7 +184,7 @@ class TestCampaignProfiling:
         )
         assert completions == profiler.counters["cal.completions"]
 
-    @pytest.mark.parametrize("reduction", ["sleep-set", "dpor"])
+    @pytest.mark.parametrize("reduction", ["dpor"])
     def test_profiles_reduced_verification(self, reduction):
         """The profiler buckets reduced sweeps like unreduced ones: one
         completion per checked run, every search node attributed."""

@@ -28,7 +28,7 @@ from html.parser import HTMLParser
 import pytest
 
 from repro.checkers.fuzz import fuzz_cal
-from repro.checkers.parallel import explore_parallel
+from repro.checkers.parallel import campaign_runner, explore_parallel
 from repro.checkers.verify import verify_cal
 from repro.cli import main
 from repro.obs.provenance import (
@@ -459,6 +459,28 @@ class TestDriverSurfacing:
                 reduction="dpor",
                 provenance=ledger,
             )
+        assert ledger.get("schedule.executed") == 2 * 58
+
+    @pytest.mark.parametrize("path", ["verify_cal", "campaign_runner"])
+    def test_report_carries_the_campaign_ledger_on_every_path(self, path):
+        """``report.provenance`` is the campaign's own ledger, like
+        ``report.stats``, whether the sequential driver or the campaign
+        runner ran it; the caller's ledger accumulates both campaigns."""
+        driver = {
+            "verify_cal": verify_cal,
+            "campaign_runner": campaign_runner("verify", "cal"),
+        }[path]
+        ledger = ExplorationLedger()
+        for _ in range(2):
+            report = driver(
+                _setup(),
+                ExchangerSpec("E"),
+                max_steps=200,
+                search=True,
+                reduction="dpor",
+                provenance=ledger,
+            )
+        assert report.provenance["counters"]["schedule.executed"] == 58
         assert ledger.get("schedule.executed") == 2 * 58
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from itertools import islice
 from typing import Any, Callable, Dict, Iterator, List, Tuple
 
 import pytest
@@ -136,14 +137,15 @@ def _swept(
     reduction: str = "none",
     max_steps: int = 0,
     budget: Any = None,
+    first: Any = None,
     **options: Any,
 ) -> Iterator[Tuple]:
-    """One ``explore_all`` sweep of exchanger2: every run, then the
-    budget's tallies, then the ``campaign_progress`` events without
-    their clock."""
+    """One ``explore_all`` sweep of exchanger2: every run (or only the
+    ``first`` ones), then the budget's tallies, then the
+    ``campaign_progress`` events without their clock."""
     workload = cli.WORKLOADS["exchanger2"]
     sink = TraceSink()
-    for run in explore_all(
+    runs = explore_all(
         workload.make_setup(),
         max_steps=max_steps or workload.max_steps,
         budget=budget,
@@ -151,7 +153,8 @@ def _swept(
         progress_every=97,
         reduction=reduction,
         **options,
-    ):
+    )
+    for run in islice(runs, first):
         yield _run_record(run, run.schedule)
     if budget is not None:
         yield budget.stats()
@@ -197,7 +200,7 @@ CASES: Dict[str, Callable[[], Iterator[Tuple]]] = {
         max_steps=14, include_incomplete=True
     ),
     "exchanger2-none-pinned": lambda: _swept(pin_prefix=[1]),
-    "exchanger2-none-limit": lambda: _swept(limit=500),
+    "exchanger2-none-limit": lambda: _swept(first=500),
     "exchanger2-none-run-budget": lambda: _swept(
         budget=ExploreBudget(max_runs=700)
     ),

@@ -21,6 +21,7 @@ into one.  Print the current ones with
 from __future__ import annotations
 
 import hashlib
+from itertools import islice
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 import pytest
@@ -97,12 +98,10 @@ def _dpor_exchanger3(count: int, budgets) -> Iterator[Tuple]:
     spec = ExchangerSpec("E")
     policy = CheckPolicy.cal(spec, True, True, None)
     bare = CALChecker(spec)
-    for run in explore_all(
-        workload.make_setup(),
-        max_steps=workload.max_steps,
-        reduction="dpor",
-        limit=count,
-    ):
+    runs = explore_all(
+        workload.make_setup(), max_steps=workload.max_steps, reduction="dpor"
+    )
+    for run in islice(runs, count):
         yield from _searches(policy, bare, run.history, budgets)
         yield _witness(policy, run.history, policy.witness(run))
 

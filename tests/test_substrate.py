@@ -17,7 +17,7 @@ from repro.substrate import (
     spawn,
 )
 from repro.substrate.errors import ExplorationCut
-from repro.substrate.explore import count_runs
+from repro.substrate.explore import ExploreBudget
 from repro.substrate.memory import Heap, Ref
 from repro.substrate.runtime import AssertionFailed, Runtime, ThreadCrashed
 from repro.substrate.schedulers import FixedScheduler
@@ -325,8 +325,8 @@ class TestExploration:
         # Each thread takes 3 atomic steps (2 pauses + 1 final return step
         # is not a decision point once the other finished)... the exact
         # count: interleavings of two 3-step threads = C(6,3) = 20.
-        runs = count_runs(self._two_thread_setup(2))
-        assert runs == 20
+        runs = list(explore_all(self._two_thread_setup(2)))
+        assert len(runs) == 20
 
     def test_single_thread_has_one_run(self):
         def setup(scheduler):
@@ -338,7 +338,7 @@ class TestExploration:
 
             return Program(world).thread("a", body).runtime(scheduler)
 
-        assert count_runs(setup) == 1
+        assert len(list(explore_all(setup))) == 1
 
     def test_all_schedules_are_distinct(self):
         seen = set()
@@ -348,13 +348,17 @@ class TestExploration:
             seen.add(key)
 
     def test_limit_caps_results(self):
-        results = list(explore_all(self._two_thread_setup(3), limit=5))
+        budget = ExploreBudget(max_runs=5)
+        results = list(explore_all(self._two_thread_setup(3), budget=budget))
         assert len(results) == 5
+        assert budget.tripped
 
     def test_preemption_bound_reduces_runs(self):
-        full = count_runs(self._two_thread_setup(3))
-        bounded = count_runs(self._two_thread_setup(3), preemption_bound=1)
-        assert bounded < full
+        full = list(explore_all(self._two_thread_setup(3)))
+        bounded = list(
+            explore_all(self._two_thread_setup(3), preemption_bound=1)
+        )
+        assert len(bounded) < len(full)
 
     def test_choose_values_are_explored(self):
         def setup(scheduler):

@@ -6,12 +6,15 @@ from __future__ import annotations
 import pytest
 
 from repro.checkers import verify_cal, verify_linearizability
+from repro.checkers.result import Verdict
 from repro.core.catrace import failed_exchange_element, swap_element
 from repro.objects import Exchanger
 from repro.objects.base import operation
 from repro.objects.exchanger import Offer
+from repro.obs.provenance import ExplorationLedger
 from repro.specs import ExchangerSpec, RegisterSpec
 from repro.substrate import Program, World
+from repro.substrate.explore import ExploreBudget
 from repro.workloads.programs import exchanger_program, register_program
 
 
@@ -138,14 +141,36 @@ class TestVerifyCal:
         result = runtime.run(max_steps=50)
         assert result.history == failure.history
 
-    def test_limit_parameter(self):
+    @pytest.mark.parametrize(
+        "reduction, runs, incomplete", [("dpor", 8, 50), ("none", 1036, 3586)]
+    )
+    def test_cut_runs_are_counted_incomplete(
+        self, reduction, runs, incomplete
+    ):
+        """Runs cut at ``max_steps`` are tallied ``incomplete``, not
+        dropped: at 14 steps most exchanger2 schedules are cut."""
+        ledger = ExplorationLedger()
+        report = verify_cal(
+            exchanger_program([3, 4]),
+            ExchangerSpec("E"),
+            max_steps=14,
+            reduction=reduction,
+            provenance=ledger,
+        )
+        assert (report.runs, report.incomplete) == (runs, incomplete)
+        assert report.verdict is Verdict.OK
+        if reduction == "dpor":
+            assert ledger.counters["schedule.executed"] == runs + incomplete
+
+    def test_run_budget_cuts_the_sweep(self):
         report = verify_cal(
             exchanger_program([1, 2]),
             ExchangerSpec("E"),
             max_steps=200,
-            limit=10,
+            budget=ExploreBudget(max_runs=10),
         )
         assert report.runs == 10
+        assert report.verdict is Verdict.UNKNOWN
 
 
 class TestVerifyLinearizability:
